@@ -2,8 +2,8 @@
 
 Benchmarking used to live in one 745-line ``benchmarks/perf_simulator.py``
 monolith that overwrote a single ``BENCH_simulator.json`` snapshot; the
-performance trajectory (the 9.7x engine rewrite, the 7x bound-pruned
-search, the ~200x array kernel) was invisible, and regressions were only
+performance trajectory (the 9.7x engine rewrite, the ~200x array
+kernel) was invisible, and regressions were only
 caught by hand-tuned per-section guards buried in ``check()``.  This
 package promotes all of that to a subsystem:
 

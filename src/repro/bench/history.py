@@ -43,21 +43,14 @@ def host_fingerprint() -> dict:
     one core fingerprints as one core — exactly the partition that keeps
     1-CPU CI runs from gating against multi-core dev-host history.
     """
-    from repro.model.arrays import backend_name
+    import numpy
+
     from repro.parallel import available_cpus
 
-    try:
-        import numpy
-
-        numpy_version: str | None = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "cpus": available_cpus(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
-        "arrays_backend": backend_name(),
-        "backend_env": os.environ.get("REPRO_ARRAYS_BACKEND"),
+        "numpy": numpy.__version__,
     }
 
 
@@ -65,14 +58,13 @@ def fingerprint_key(fingerprint: dict) -> str:
     """The partition key history comparisons are scoped by.
 
     Patch-level python releases don't move performance enough to split
-    the history, so only ``major.minor`` participates.
+    the history, so only ``major.minor`` participates.  The Eq.-1 kernel
+    always runs on numpy, so the trailing ``-numpy-numpy`` is constant; it
+    keeps the keys of records written when the kernel backend was still
+    selectable, so those records keep gating.
     """
     major_minor = ".".join(str(fingerprint.get("python", "")).split(".")[:2])
-    numpy_part = "numpy" if fingerprint.get("numpy") else "purepy"
-    return (
-        f"cpu{fingerprint.get('cpus')}-py{major_minor}-{numpy_part}"
-        f"-{fingerprint.get('arrays_backend')}"
-    )
+    return f"cpu{fingerprint.get('cpus')}-py{major_minor}-numpy-numpy"
 
 
 def git_sha(cwd: str | Path | None = None) -> str | None:

@@ -97,6 +97,21 @@ def check(fresh: dict, baseline: dict) -> list[str]:
         "optimizer_search"
     )
     if search_b is not None and "best_runtime_seconds" in search_b:
+        if search_f["best_config"] != search_b["best_config"]:
+            failures.append(
+                "optimizer_search: optimum changed:"
+                f" {search_f['best_config']!r} vs baseline"
+                f" {search_b['best_config']!r}"
+            )
+        if not _close(
+            search_f["best_cost_dollars"], search_b["best_cost_dollars"],
+            rel=1e-6,
+        ):
+            failures.append(
+                "optimizer_search: optimum cost changed:"
+                f" {search_f['best_cost_dollars']!r} vs"
+                f" {search_b['best_cost_dollars']!r}"
+            )
         if not _close(
             search_f["best_runtime_seconds"], search_b["best_runtime_seconds"]
         ):
@@ -126,35 +141,9 @@ def check(fresh: dict, baseline: dict) -> list[str]:
                     f" {resil[field]!r} vs baseline {base_r[field]!r}"
                 )
 
-    search = fresh["parallel"]["search"]
     grid = fresh["parallel"]["grid"]
     base_p = baseline.get("parallel")
     if base_p is not None:
-        if search["best_config"] != base_p["search"]["best_config"]:
-            failures.append(
-                "parallel: pruned-search optimum changed:"
-                f" {search['best_config']!r} vs baseline"
-                f" {base_p['search']['best_config']!r}"
-            )
-        if not _close(
-            search["best_cost_dollars"],
-            base_p["search"]["best_cost_dollars"],
-            rel=1e-6,
-        ):
-            failures.append(
-                "parallel: pruned-search optimum cost changed:"
-                f" {search['best_cost_dollars']!r} vs baseline"
-                f" {base_p['search']['best_cost_dollars']!r}"
-            )
-        if search["pruned_wall_seconds"] > (
-            base_p["search"]["pruned_wall_seconds"] * WALL_TOLERANCE
-        ):
-            failures.append(
-                "parallel: pruned-search wall time regressed:"
-                f" {search['pruned_wall_seconds']}s vs baseline"
-                f" {base_p['search']['pruned_wall_seconds']}s"
-                f" (tolerance {WALL_TOLERANCE}x)"
-            )
         if grid["warm_wall_seconds"] > (
             base_p["grid"]["warm_wall_seconds"] * WALL_TOLERANCE
         ):
@@ -195,27 +184,17 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAIL: {failure}")
             return 1
         vec = result["vectorized"]
-        kernel = (
-            f"kernel {vec['python_cand_per_s']} cand/s (py)"
-            + (
-                f" / {vec['numpy_cand_per_s']} (numpy),"
-                f" {vec['speedup_vs_scalar']}x vs scalar"
-                if vec["numpy_cand_per_s"] is not None else ""
-            )
-        )
         print(
             "perf check OK:"
             f" md {result['wall_seconds_best']}s"
             f" (baseline {baseline['wall_seconds_best']}s),"
             f" sweep cache {result['core_sweep']['cache_speedup']}x,"
             f" search {result['optimizer_search']['wall_seconds']}s,"
-            f" prune kept"
-            f" {result['parallel']['search']['pruned_evaluated']}/"
-            f"{result['parallel']['search']['num_candidates']},"
             f" {result['parallel']['grid']['workers']}-worker grid"
             f" {result['parallel']['grid']['parallel_speedup']}x"
             f" on {result['parallel']['grid']['usable_cpus']} CPU(s),"
-            f" {kernel}"
+            f" kernel {vec['numpy_cand_per_s']} cand/s,"
+            f" {vec['speedup_vs_scalar']}x vs scalar"
         )
         return 0
 

@@ -58,13 +58,8 @@ MIN_CACHE_SPEEDUP = 2.0
 STRAGGLER_SLOWDOWN = 2.5
 MAX_CLEAN_SPECULATION_OVERHEAD = 0.05
 
-#: Largest share of the grid the bound-pruned search may still evaluate
-#: — pruning must discard at least half (measured: ~93% discarded).
-MAX_PRUNE_EVAL_FRACTION = 0.5
-
-#: Array-kernel throughput floors (candidates scored per second, one
-#: core) and the minimum batch-vs-scalar speedup with numpy installed.
-MIN_PYTHON_CAND_PER_S = 1e5
+#: Array-kernel throughput floor (candidates scored per second, one
+#: core) and the minimum batch-vs-scalar speedup.
 MIN_NUMPY_CAND_PER_S = 1e6
 MIN_VECTOR_SPEEDUP_VS_SCALAR = 20.0
 
@@ -392,7 +387,7 @@ register_section(BenchmarkSection(
 ))
 
 
-# -- parallel: bound-pruned search and process-parallel grids -----------------
+# -- parallel: process-parallel grids and supervision ------------------------
 
 
 def _supervision_work(seed: int) -> int:
@@ -409,12 +404,12 @@ def _supervision_work(seed: int) -> int:
 
 
 def run_parallel(rounds: int) -> dict:
-    """PR-5 accelerators: bound-pruned search and process-parallel grids.
+    """PR-5 accelerator: process-parallel grids.
 
-    Correctness (identical best, bit-identical records) is asserted on
-    every run; the wall-clock and pruning guards live in the section's
-    floors and gates.  The ``supervision`` block times the fault-
-    tolerant execution tier's clean path against a raw chunked map.
+    Correctness (bit-identical records) is asserted on every run; the
+    wall-clock guards live in the section's floors and gates.  The
+    ``supervision`` block times the fault-tolerant execution tier's
+    clean path against a raw chunked map.
     """
     from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
     from repro.parallel import available_cpus
@@ -422,25 +417,6 @@ def run_parallel(rounds: int) -> dict:
     from repro.pipeline.sources import ResolvedSource
 
     workload, predictor = _gatk4_predictor()
-
-    def cold_search(**kwargs):
-        # A fresh optimizer per round: no cache, so the search is cold.
-        optimizer = _paper_optimizer(predictor)
-        start = time.perf_counter()
-        result = optimizer.grid_search(vcpu_grid=SEARCH_VCPUS, **kwargs)
-        return time.perf_counter() - start, result
-
-    exhaustive_walls, pruned_walls = [], []
-    exhaustive = pruned = None
-    for _ in range(max(1, rounds)):
-        wall, exhaustive = cold_search()
-        exhaustive_walls.append(wall)
-        wall, pruned = cold_search(prune=True)
-        pruned_walls.append(wall)
-    assert pruned.best.config == exhaustive.best.config, (
-        "pruned search must return the exhaustive optimum"
-    )
-    assert pruned.best.cost_dollars == exhaustive.best.cost_dollars
 
     # Cold Fig.-3-shaped sweep, serial vs two worker processes, fresh
     # caches on both sides so every cell really simulates.
@@ -502,20 +478,7 @@ def run_parallel(rounds: int) -> dict:
     overhead = min(supervised_walls) / min(raw_walls) - 1.0
 
     return {
-        "benchmark": "pr5-parallel-and-pruning",
-        "search": {
-            "vcpu_grid": list(SEARCH_VCPUS),
-            "num_candidates": exhaustive.num_evaluated,
-            "best_config": pruned.best.config.label(),
-            "best_cost_dollars": round(pruned.best.cost_dollars, 4),
-            "exhaustive_wall_seconds": round(min(exhaustive_walls), 4),
-            "pruned_wall_seconds": round(min(pruned_walls), 4),
-            "pruned_evaluated": pruned.num_evaluated,
-            "pruned_skipped": pruned.num_pruned,
-            "prune_speedup": round(
-                min(exhaustive_walls) / min(pruned_walls), 2
-            ),
-        },
+        "benchmark": "pr5-parallel-grid",
         "grid": {
             "num_slaves": SWEEP_SLAVES,
             "core_counts": list(PARALLEL_GRID_CORES),
@@ -540,21 +503,9 @@ def run_parallel(rounds: int) -> dict:
 
 def guard_parallel(metrics: dict) -> list[str]:
     failures = []
-    search, grid = metrics["search"], metrics["grid"]
-    # Pruning must keep cutting most of the grid (the array kernel made
-    # wall time a wash — the win is skipped model evaluations);
-    # parallelism must pay for itself wherever two workers can actually
+    grid = metrics["grid"]
+    # Parallelism must pay for itself wherever two workers can actually
     # run at once.
-    if search["pruned_evaluated"] > (
-        search["num_candidates"] * MAX_PRUNE_EVAL_FRACTION
-    ):
-        failures.append(
-            f"parallel: pruned search evaluated {search['pruned_evaluated']}"
-            f" of {search['num_candidates']} candidates — the bound must"
-            f" discard at least {1 - MAX_PRUNE_EVAL_FRACTION:.0%} of the grid"
-        )
-    if search["pruned_skipped"] == 0:
-        failures.append("parallel: the pruning bound discarded no candidates")
     if (
         grid["usable_cpus"] >= 2
         and grid["parallel_speedup"] < MIN_PARALLEL_SPEEDUP
@@ -583,17 +534,11 @@ def guard_parallel(metrics: dict) -> list[str]:
 
 register_section(BenchmarkSection(
     name="parallel",
-    title="bound-pruned search + two-worker process-parallel grid (PR 5)",
+    title="two-worker process-parallel grid + supervision (PR 5)",
     snapshot_key="parallel",
     run=run_parallel,
     guards=guard_parallel,
     gates=(
-        MetricGate("search.best_config", "exact", fingerprint_scoped=False),
-        MetricGate("search.best_cost_dollars", "exact", rel_tolerance=1e-6,
-                   fingerprint_scoped=False),
-        MetricGate("search.pruned_evaluated", "exact",
-                   fingerprint_scoped=False),
-        MetricGate("search.pruned_wall_seconds", "lower", **_WALL_BAND),
         MetricGate("grid.warm_wall_seconds", "lower", **_WALL_BAND),
         MetricGate("supervision.supervised_wall_seconds", "lower",
                    **_WALL_BAND),
@@ -610,18 +555,14 @@ def run_vectorized(rounds: int) -> dict:
 
     Scores the optimizer's full (vCPU x disk kind x size x size) grid —
     tiled :data:`VECTOR_TILE_REPS` times so each timing covers tens of
-    thousands of candidates — per backend, against the scalar
-    per-configuration path on the untiled grid.  Before timing, the
+    thousands of candidates — against the scalar per-configuration path
+    on the untiled grid.  Before timing, the
     batch results are equality-checked (``==`` on floats) against the
     scalar model, so the recorded rates always describe a kernel that
     is still exact.
     """
     from repro.core import Predictor, Profiler
-    from repro.model.arrays import (
-        CandidateBatch,
-        Eq1BatchEvaluator,
-        backend_name,
-    )
+    from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
     from repro.workloads import make_gatk4_workload
 
     workload = make_gatk4_workload()
@@ -640,17 +581,15 @@ def run_vectorized(rounds: int) -> dict:
     scalar_wall = time.perf_counter() - start
     scalar_rate = len(configs) / scalar_wall
 
-    # Exactness gate on the untiled grid (both available backends).
-    backends = ["python"] + (["numpy"] if backend_name() == "numpy" else [])
-    for backend in backends:
-        scores = evaluator.score(grid, backend=backend)
-        assert [float(r) for r in scores.runtime_seconds] == [
-            p.t_app for p in scalar
-        ], f"{backend} kernel runtimes diverged from the scalar model"
-        assert [float(c) for c in scores.cost_dollars] == [
-            config.cost_for_runtime(p.t_app)
-            for config, p in zip(configs, scalar)
-        ], f"{backend} kernel costs diverged from the scalar model"
+    # Exactness gate on the untiled grid.
+    scores = evaluator.score(grid)
+    assert [float(r) for r in scores.runtime_seconds] == [
+        p.t_app for p in scalar
+    ], "kernel runtimes diverged from the scalar model"
+    assert [float(c) for c in scores.cost_dollars] == [
+        config.cost_for_runtime(p.t_app)
+        for config, p in zip(configs, scalar)
+    ], "kernel costs diverged from the scalar model"
 
     tiled = CandidateBatch(
         nodes=grid.nodes * VECTOR_TILE_REPS,
@@ -661,61 +600,47 @@ def run_vectorized(rounds: int) -> dict:
         local_sizes_gb=grid.local_sizes_gb * VECTOR_TILE_REPS,
         vcpus=grid.vcpus * VECTOR_TILE_REPS,
     )
-    rates = {}
-    for backend in backends:
-        walls = []
-        for _ in range(max(1, rounds)):
-            start = time.perf_counter()
-            evaluator.score(tiled, want_bottlenecks=False, backend=backend)
-            walls.append(time.perf_counter() - start)
-        rates[backend] = len(tiled) / min(walls)
+    walls = []
+    for _ in range(max(1, rounds)):
+        start = time.perf_counter()
+        evaluator.score(tiled, want_bottlenecks=False)
+        walls.append(time.perf_counter() - start)
+    rate = len(tiled) / min(walls)
 
-    fastest = max(rates.values())
     return {
         "benchmark": "pr6-array-kernel",
         "grid_candidates": len(configs),
         "tiled_candidates": len(tiled),
-        "default_backend": backend_name(),
-        "python_cand_per_s": round(rates["python"]),
-        "numpy_cand_per_s": (
-            round(rates["numpy"]) if "numpy" in rates else None
-        ),
+        "numpy_cand_per_s": round(rate),
         "scalar_cand_per_s": round(scalar_rate),
-        "speedup_vs_scalar": round(fastest / scalar_rate, 1),
+        "speedup_vs_scalar": round(rate / scalar_rate, 1),
         "batch_matches_scalar": True,
     }
 
 
 def guard_vectorized(metrics: dict) -> list[str]:
     failures = []
-    if metrics["python_cand_per_s"] < MIN_PYTHON_CAND_PER_S:
+    if metrics["numpy_cand_per_s"] < MIN_NUMPY_CAND_PER_S:
         failures.append(
-            f"vectorized: pure-Python kernel at {metrics['python_cand_per_s']}"
-            f" cand/s is below the required {MIN_PYTHON_CAND_PER_S:.0e}"
+            f"vectorized: numpy kernel at {metrics['numpy_cand_per_s']}"
+            f" cand/s is below the required {MIN_NUMPY_CAND_PER_S:.0e}"
         )
-    if metrics["numpy_cand_per_s"] is not None:
-        if metrics["numpy_cand_per_s"] < MIN_NUMPY_CAND_PER_S:
-            failures.append(
-                f"vectorized: numpy kernel at {metrics['numpy_cand_per_s']}"
-                f" cand/s is below the required {MIN_NUMPY_CAND_PER_S:.0e}"
-            )
-        if metrics["speedup_vs_scalar"] < MIN_VECTOR_SPEEDUP_VS_SCALAR:
-            failures.append(
-                f"vectorized: {metrics['speedup_vs_scalar']}x over the scalar"
-                f" path is below the required"
-                f" {MIN_VECTOR_SPEEDUP_VS_SCALAR:.0f}x"
-            )
+    if metrics["speedup_vs_scalar"] < MIN_VECTOR_SPEEDUP_VS_SCALAR:
+        failures.append(
+            f"vectorized: {metrics['speedup_vs_scalar']}x over the scalar"
+            f" path is below the required"
+            f" {MIN_VECTOR_SPEEDUP_VS_SCALAR:.0f}x"
+        )
     return failures
 
 
 register_section(BenchmarkSection(
     name="vectorized",
-    title="array-kernel throughput, both backends, exactness-gated (PR 6)",
+    title="array-kernel throughput, exactness-gated (PR 6)",
     snapshot_key="vectorized",
     run=run_vectorized,
     guards=guard_vectorized,
     gates=(
-        MetricGate("python_cand_per_s", "higher", **_WALL_BAND),
         MetricGate("numpy_cand_per_s", "higher", **_WALL_BAND),
     ),
 ))
@@ -961,7 +886,6 @@ def run_service(rounds: int) -> dict:
                 and served["best"]["runtime_seconds"]
                 == reference.best.runtime_seconds
                 and served["num_evaluated"] == reference.num_evaluated
-                and served["num_pruned"] == reference.num_pruned
             ), (
                 "service grid search diverged from CostOptimizer"
                 f".grid_search: {served['best']} != {reference.best!r}"

@@ -47,13 +47,11 @@ reserved for unexpected crashes.
     execution policy of a parallel run (per-cell wall-clock deadline
     and attempt budget; exhausted cells exit 5 with the completed ones
     checkpointed).
-``optimize --workload NAME [--cluster-workers N] [--workers K] [--prune]
-[--top K] [--json]``
+``optimize --workload NAME [--cluster-workers N] [--workers K] [--top K]
+[--json]``
     Search cloud configurations for the cheapest run (Section VI).
-    ``--cluster-workers`` is the modeled cluster's node count ``N``;
-    ``--prune`` enables the branch-and-bound lower-bound search, which
-    returns the identical optimum (see docs/PERFORMANCE.md).  The whole
-    grid is scored by the array kernel (:mod:`repro.model.arrays`);
+    ``--cluster-workers`` is the modeled cluster's node count ``N``.
+    The whole grid is scored by the array kernel (:mod:`repro.model.arrays`);
     ``--workers`` is validated but no longer changes how candidates are
     evaluated.  ``--top K`` prints the K cheapest feasible
     configurations instead of just the winner, and ``--json`` emits the
@@ -103,11 +101,11 @@ from repro.cloud import (
     r1_spark_recommendation,
     r2_cloudera_recommendation,
 )
+from repro.cloud.pricing import config_dict
 from repro.cluster.network import NetworkModel
 from repro.core import load_report, save_report
 from repro.errors import ConfigurationError, DoppioError, exit_code_for
 from repro.faults import FaultPlan, load_fault_plan
-from repro.model.arrays import backend_name
 from repro.parallel import ExecutionPolicy
 from repro.pipeline import (
     ClusterPlatform,
@@ -763,20 +761,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_dict(config) -> dict:
-    """A CloudConfiguration as a JSON-ready mapping."""
-    return {
-        "machine": config.machine.name,
-        "vcpus": config.machine.vcpus,
-        "num_workers": config.num_workers,
-        "hdfs_disk_kind": config.hdfs_disk_kind,
-        "hdfs_disk_gb": config.hdfs_disk_gb,
-        "local_disk_kind": config.local_disk_kind,
-        "local_disk_gb": config.local_disk_gb,
-        "label": config.label(),
-    }
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ConfigurationError("--top must be at least 1")
@@ -799,30 +783,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         cache=cache,
     )
     result = optimizer.grid_search(
-        vcpu_grid=(4, 8, 16, 32), workers=args.workers, prune=args.prune,
+        vcpu_grid=(4, 8, 16, 32), workers=args.workers,
         execution=_execution(args),
     )
     r1 = optimizer.evaluate(r1_spark_recommendation(num_workers=nodes))
     r2 = optimizer.evaluate(r2_cloudera_recommendation(num_workers=nodes))
     _save_cache(cache)
     # Stable sort on cost: ties keep grid order, so top[0] is exactly
-    # the search's ``best``.  Under --prune only non-pruned candidates
-    # can be ranked; a pruned candidate provably cannot beat rank 1, but
-    # deeper ranks are "cheapest among candidates the bound kept".
+    # the search's ``best``.
     top = sorted(result.evaluated, key=lambda e: e.cost_dollars)[: args.top]
 
     if args.json:
         payload = {
             "workload": workload.name,
             "cluster_workers": nodes,
-            "prune": args.prune,
-            "backend": backend_name(),
             "num_evaluated": result.num_evaluated,
-            "num_pruned": result.num_pruned,
             "top": [
                 {
                     "rank": rank,
-                    "config": _config_dict(entry.config),
+                    "config": config_dict(entry.config),
                     "runtime_seconds": entry.runtime_seconds,
                     "cost_dollars": entry.cost_dollars,
                 }
@@ -830,12 +809,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             ],
             "references": {
                 "r1_spark": {
-                    "config": _config_dict(r1.config),
+                    "config": config_dict(r1.config),
                     "runtime_seconds": r1.runtime_seconds,
                     "cost_dollars": r1.cost_dollars,
                 },
                 "r2_cloudera": {
-                    "config": _config_dict(r2.config),
+                    "config": config_dict(r2.config),
                     "runtime_seconds": r2.runtime_seconds,
                     "cost_dollars": r2.cost_dollars,
                 },
@@ -857,12 +836,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ["R2 (Cloudera)", r2.config.label(), fmt_duration(r2.runtime_seconds),
          f"${r2.cost_dollars:.2f}"],
     ]
-    pruned = (
-        f", {result.num_pruned} bound-pruned" if result.num_pruned else ""
-    )
     print(render_table(
         f"cheapest cloud configuration for {workload.name}"
-        f" ({result.num_evaluated} candidates{pruned})",
+        f" ({result.num_evaluated} candidates)",
         ["config", "details", "runtime", "cost"], rows))
     print(f"savings: {result.savings_versus(r1) * 100:.0f}% vs R1,"
           f" {result.savings_versus(r2) * 100:.0f}% vs R2")
@@ -1231,14 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--profile-nodes", type=int, default=3)
     optimize.add_argument("--cache", default=None,
                           help="pipeline result-cache file to reuse/update")
-    optimize.add_argument("--prune", action="store_true",
-                          help="branch-and-bound search on the Eq.-1 cost"
-                               " lower bound (same optimum, fewer model"
-                               " evaluations)")
     optimize.add_argument("--top", type=int, default=1, metavar="K",
-                          help="print the K cheapest feasible configurations"
-                               " (with --prune, ranks beyond 1 rank only the"
-                               " candidates the bound kept)")
+                          help="print the K cheapest feasible configurations")
     optimize.add_argument("--json", action="store_true",
                           help="emit the search outcome as JSON")
     _add_workers_flag(optimize)

@@ -101,6 +101,20 @@ class CloudConfiguration:
         )
 
 
+def config_dict(config: CloudConfiguration) -> dict:
+    """A configuration as the JSON mapping the CLI and the service emit."""
+    return {
+        "machine": config.machine.name,
+        "vcpus": config.machine.vcpus,
+        "num_workers": config.num_workers,
+        "hdfs_disk_kind": config.hdfs_disk_kind,
+        "hdfs_disk_gb": config.hdfs_disk_gb,
+        "local_disk_kind": config.local_disk_kind,
+        "local_disk_gb": config.local_disk_gb,
+        "label": config.label(),
+    }
+
+
 def configuration_cost(
     config: CloudConfiguration, runtime_seconds: float
 ) -> float:

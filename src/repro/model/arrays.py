@@ -18,8 +18,8 @@ Exactness contract
   add/mul/div/compare performed in the scalar model's exact order
   (including clamp semantics, left-fold summation orders, and the
   first-maximal tie-break for bottleneck labels).  Those operations are
-  identical between CPython floats and numpy float64, so both backends
-  agree bitwise with the scalar model and with each other.
+  identical between CPython floats and numpy float64, so the kernel
+  agrees bitwise with the scalar model.
 - The only transcendental arithmetic in the stack — the log-log
   interpolation inside :class:`~repro.core.bandwidth.EffectiveBandwidthTable`
   — is **never vectorized**.  Per-channel bandwidths are computed once
@@ -28,15 +28,7 @@ Exactness contract
   plus ``StorageDevice.bandwidth``), memoized, and gathered into the
   batch.  Identical inputs through identical code give identical floats.
 
-Backends
---------
-numpy is used when importable (install the ``fast`` extra); otherwise a
-pure-Python fallback built on :mod:`array` and per-unique-key memo tables
-runs with zero dependencies.  ``backend_name()`` reports which one is
-active; the ``REPRO_ARRAYS_BACKEND`` environment variable (``auto`` /
-``numpy`` / ``python``) or a per-call ``backend=`` argument overrides the
-choice.  Either way the results are bitwise identical (see above), which
-``tests/properties/test_vectorized.py`` pins.
+``tests/properties/test_vectorized.py`` pins the contract.
 
 See ``docs/MODEL.md`` ("Array model core") for the batch layout and the
 full equivalence argument, and ``docs/PERFORMANCE.md`` for measured
@@ -45,8 +37,6 @@ throughput.
 
 from __future__ import annotations
 
-import os
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -60,66 +50,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # The cloud-layer helpers (device factories, pricing) are imported
 # lazily inside the functions that memoize their results:
-# ``repro.cloud.__init__`` itself imports this module (via ``bounds``),
-# so a module-level import here would be circular whenever the model
-# package loads first.
+# ``repro.cloud.__init__`` itself imports this module (via the
+# optimizer), so a module-level import here would be circular whenever
+# the model package loads first.
 
 __all__ = [
     "BOTTLENECK_LABELS",
-    "BACKEND_ENV_VAR",
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
-    "LowerBoundBatch",
-    "backend_name",
     "score_batch",
 ]
 
-#: Environment variable selecting the array backend.
-BACKEND_ENV_VAR = "REPRO_ARRAYS_BACKEND"
-
 #: Disk roles a candidate provisions devices for.
 _DISK_ROLES = ("hdfs", "local")
-
-_UNSET = object()
-_NUMPY = _UNSET
-
-
-def _numpy():
-    """The numpy module, or ``None`` when it is not installed."""
-    global _NUMPY
-    if _NUMPY is _UNSET:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-def _resolve_backend(backend: str | None):
-    """Map a backend request to the numpy module or ``None`` (pure Python)."""
-    choice = backend or os.environ.get(BACKEND_ENV_VAR) or "auto"
-    if choice == "auto":
-        return _numpy()
-    if choice == "python":
-        return None
-    if choice == "numpy":
-        module = _numpy()
-        if module is None:
-            raise ConfigurationError(
-                "array backend 'numpy' requested but numpy is not installed"
-                " (pip install 'doppio-repro[fast]')"
-            )
-        return module
-    raise ConfigurationError(
-        f"unknown array backend {choice!r}; expected 'auto', 'numpy' or 'python'"
-    )
-
-
-def backend_name(backend: str | None = None) -> str:
-    """Which kernel backend is active: ``"numpy"`` or ``"python"``."""
-    return "numpy" if _resolve_backend(backend) is not None else "python"
 
 
 # -- the batch ----------------------------------------------------------------
@@ -216,16 +160,14 @@ class BatchScores:
     ``cost_dollars`` follows the Section-VI pricing (``None`` when cost
     was not requested or the batch has no ``vcpus``); ``bottlenecks``
     holds one integer sequence per stage — indexes into
-    :data:`BOTTLENECK_LABELS` — or ``None`` when not requested.
-    Sequences are numpy arrays or :mod:`array`/:class:`bytes` depending
-    on the backend; element values are bitwise identical either way.
+    :data:`BOTTLENECK_LABELS` — or ``None`` when not requested.  Every
+    sequence is a numpy array.
     """
 
     runtime_seconds: Sequence[float]
     cost_dollars: Sequence[float] | None
     bottlenecks: tuple[Sequence[int], ...] | None
     stage_names: tuple[str, ...]
-    backend: str
 
     def __len__(self) -> int:
         return len(self.runtime_seconds)
@@ -242,10 +184,7 @@ class BatchScores:
             raise ModelError("scores carry no cost; score with want_cost=True")
         if not len(self):
             raise ModelError("empty batch has no cheapest candidate")
-        cost = self.cost_dollars
-        if hasattr(cost, "argmin"):  # numpy: first occurrence, like min()
-            return int(cost.argmin())
-        return min(range(len(cost)), key=cost.__getitem__)
+        return int(self.cost_dollars.argmin())  # first occurrence, like min()
 
 
 # -- stage constants ----------------------------------------------------------
@@ -293,7 +232,7 @@ def _group_channels(channels, groups):
 
 
 def _stages_from_report(report: ProfilingReport, groups: list) -> tuple:
-    """Kernel stages for the exact model; unknown roles are an error.
+    """Kernel stages for the model; unknown roles are an error.
 
     Mirrors ``Predictor._stage_variables`` against ``{"hdfs", "local"}``
     devices: empty channels are skipped, any other role has no target
@@ -328,93 +267,56 @@ def _stages_from_report(report: ProfilingReport, groups: list) -> tuple:
     return tuple(stages)
 
 
-def _stages_from_terms(stage_terms, groups: list) -> tuple:
-    """Kernel stages for the lower bound; non-disk roles are skipped.
-
-    ``stage_terms`` duck-types :class:`repro.cloud.bounds._StageTerms`
-    (whose channels are already filtered to disk roles).
-    """
-    stages = []
-    for terms in stage_terms:
-        reads = [c for c in terms.read_channels if c.role in _DISK_ROLES]
-        writes = [c for c in terms.write_channels if c.role in _DISK_ROLES]
-        stages.append(
-            _KernelStage(
-                name=getattr(terms, "name", ""),
-                num_tasks=terms.num_tasks,
-                t_avg=terms.t_avg,
-                gc_coeff=terms.gc_coeff,
-                delta_scale=terms.delta_scale,
-                fill_seconds=terms.fill_seconds,
-                delta_read=terms.delta_read,
-                delta_write=terms.delta_write,
-                read_groups=_group_channels(reads, groups),
-                write_groups=_group_channels(writes, groups),
-            )
-        )
-    return tuple(stages)
+# -- the evaluator ------------------------------------------------------------
 
 
-# -- the scoring engine -------------------------------------------------------
+class Eq1BatchEvaluator:
+    """Bit-exact batch form of the scalar Eq.-1 prediction stack.
 
-
-class _Engine:
-    """Shared batch scorer behind the exact evaluator and the lower bound.
-
-    Parameterized on how per-group ``sum(D / BW)`` limits are computed
-    for one disk spec (``exact=True`` reads the built bandwidth tables,
-    ``exact=False`` the closed-form :func:`bandwidth_upper_bound`
-    ceilings), on an optional multiplicative ``safety`` factor, and on
-    whether the model's ``per_node == 0`` short-circuit applies
-    (``zero_check`` — the scalar bound has no such branch).
+    Built once from a profiling report; each :meth:`score` call
+    evaluates every candidate in a :class:`CandidateBatch` and returns
+    :class:`BatchScores` whose runtimes, costs, and bottleneck labels
+    equal the scalar ``Predictor`` / ``CostOptimizer.evaluate`` outputs
+    exactly (see the module docstring for why).  Per-disk limit tables
+    and prices are memoized across calls.
     """
 
-    def __init__(self, stages, groups, exact: bool, safety: float | None,
-                 zero_check: bool) -> None:
-        self._stages = stages
+    def __init__(self, report: ProfilingReport) -> None:
+        self.report = report
+        groups: list = []
+        self._stages = _stages_from_report(report, groups)
         self._groups = tuple(groups)
-        self._exact = exact
-        self._safety = safety
-        self._zero_check = zero_check
         self._limits_cache: dict[tuple, tuple[float, ...]] = {}
         self._disk_cost_cache: dict[tuple, float] = {}
         self._price_cache: dict[int, float] = {}
+
+    @property
+    def stage_names(self) -> tuple[str, ...]:
+        """Profiled stage labels, in prediction order."""
+        return tuple(stage.name for stage in self._stages)
 
     # per-unique-spec tables ------------------------------------------------
 
     def _limits(self, spec: tuple) -> tuple[float, ...]:
         """Per-group ``sum(D / BW)`` seconds for one ``(kind, size_gb)``.
 
-        Exact mode builds the disk's bandwidth tables through the same
-        scalar code path the predictor uses and accumulates in channel
-        order — so the floats match the scalar model's bit for bit.
+        Builds the disk's bandwidth tables through the same scalar code
+        path the predictor uses and accumulates in channel order — so
+        the floats match the scalar model's bit for bit.
         """
         cached = self._limits_cache.get(spec)
         if cached is None:
-            from repro.cloud.disks import (
-                bandwidth_upper_bound,
-                make_persistent_disk,
-            )
+            from repro.cloud.disks import make_persistent_disk
 
-            kind, size_gb = spec
+            device = make_persistent_disk(*spec)
             out = []
-            if self._exact:
-                device = make_persistent_disk(kind, size_gb)
-                for channels in self._groups:
-                    total = 0.0
-                    for total_bytes, request_size, is_write in channels:
-                        total += total_bytes / device.bandwidth(
-                            request_size, is_write
-                        )
-                    out.append(total)
-            else:
-                for channels in self._groups:
-                    total = 0.0
-                    for total_bytes, request_size, is_write in channels:
-                        total += total_bytes / bandwidth_upper_bound(
-                            kind, size_gb, request_size, is_write
-                        )
-                    out.append(total)
+            for channels in self._groups:
+                total = 0.0
+                for total_bytes, request_size, is_write in channels:
+                    total += total_bytes / device.bandwidth(
+                        request_size, is_write
+                    )
+                out.append(total)
             cached = self._limits_cache[spec] = tuple(out)
         return cached
 
@@ -438,183 +340,29 @@ class _Engine:
 
     # scoring ---------------------------------------------------------------
 
-    def score(self, batch: CandidateBatch, want_cost: bool,
-              want_bottlenecks: bool, backend: str | None) -> BatchScores:
+    def score(
+        self,
+        batch: CandidateBatch,
+        want_cost: bool = True,
+        want_bottlenecks: bool = True,
+    ) -> BatchScores:
+        """Score every candidate; see :class:`BatchScores` for the layout."""
+        # Imported on first use so that loading the package (and every
+        # simulation-only run) never pays for numpy.
+        import numpy as np
+
         if want_cost and batch.vcpus is None:
             raise ModelError(
                 "batch carries no machine vcpus; cost scoring needs them"
                 " (score with want_cost=False for model-only batches)"
             )
-        module = _resolve_backend(backend)
-        stage_names = tuple(stage.name for stage in self._stages)
-        if module is not None:
-            runtime, cost, codes = self._score_numpy(
-                module, batch, want_cost, want_bottlenecks
-            )
-            name = "numpy"
-        else:
-            runtime, cost, codes = self._score_python(
-                batch, want_cost, want_bottlenecks
-            )
-            name = "python"
-        return BatchScores(
-            runtime_seconds=runtime,
-            cost_dollars=cost,
-            bottlenecks=codes,
-            stage_names=stage_names,
-            backend=name,
-        )
-
-    def _score_python(self, batch, want_cost, want_bottlenecks):
-        n = len(batch)
-        # One pass over the batch building unique-key index columns:
-        # disk specs, (N, P) operating points, (hdfs, local, N) I/O
-        # points, and (vcpus, I/O point) price points.  All downstream
-        # arithmetic then runs once per *unique* key and is gathered —
-        # exact, because identical inputs through identical float
-        # operations give identical results.
-        spec_map: dict = {}
-        spec_list: list[tuple] = []
-        nc_map: dict = {}
-        nc_list: list[tuple] = []
-        nc_ids: list[int] = []
-        io_map: dict = {}
-        io_list: list[tuple] = []
-        io_ids: list[int] = []
-        rate_map: dict = {}
-        rate_list: list[tuple] = []
-        rate_ids: list[int] = []
-        vcpus = batch.vcpus if want_cost else None
-        rows = zip(batch.nodes, batch.cores, batch.hdfs_kinds,
-                   batch.hdfs_sizes_gb, batch.local_kinds,
-                   batch.local_sizes_gb)
-        for i, (node, core, hk, hg, lk, lg) in enumerate(rows):
-            key = (hk, hg)
-            h = spec_map.get(key)
-            if h is None:
-                h = spec_map[key] = len(spec_list)
-                spec_list.append(key)
-            key = (lk, lg)
-            lo = spec_map.get(key)
-            if lo is None:
-                lo = spec_map[key] = len(spec_list)
-                spec_list.append(key)
-            key = (node, core)
-            a = nc_map.get(key)
-            if a is None:
-                a = nc_map[key] = len(nc_list)
-                nc_list.append(key)
-            nc_ids.append(a)
-            key = (h, lo, node)
-            b = io_map.get(key)
-            if b is None:
-                b = io_map[key] = len(io_list)
-                io_list.append(key)
-            io_ids.append(b)
-            if vcpus is not None:
-                key = (vcpus[i], b)
-                r = rate_map.get(key)
-                if r is None:
-                    r = rate_map[key] = len(rate_list)
-                    rate_list.append((vcpus[i], h, lo, node))
-                rate_ids.append(r)
-
-        limits = [self._limits(spec) for spec in spec_list]
-        zero_check = self._zero_check
-        total = [0.0] * n
-        per_stage_codes: list[bytes] = []
-        for stage in self._stages:
-            ts_tab = []
-            for node, core in nc_list:
-                per_task = stage.t_avg + stage.gc_coeff * core
-                value = (
-                    stage.num_tasks / (node * core) * per_task
-                    + stage.delta_scale
-                )
-                ts_tab.append(value if value > 0.0 else 0.0)
-            tr_tab = self._limit_table(
-                stage.read_groups, stage.fill_seconds, stage.delta_read,
-                io_list, limits, zero_check,
-            )
-            tw_tab = self._limit_table(
-                stage.write_groups, stage.fill_seconds, stage.delta_write,
-                io_list, limits, zero_check,
-            )
-            codes = bytearray(n) if want_bottlenecks else None
-            # Fused gather: max of the three terms with the scalar
-            # model's first-maximal tie-break, accumulated into t_app.
-            if codes is not None:
-                for i in range(n):
-                    ts = ts_tab[nc_ids[i]]
-                    b = io_ids[i]
-                    tr = tr_tab[b]
-                    tw = tw_tab[b]
-                    if ts >= tr:
-                        if ts >= tw:
-                            t = ts
-                        else:
-                            t = tw
-                            codes[i] = 2
-                    elif tr >= tw:
-                        t = tr
-                        codes[i] = 1
-                    else:
-                        t = tw
-                        codes[i] = 2
-                    total[i] += t
-                per_stage_codes.append(bytes(codes))
-            else:
-                for i in range(n):
-                    ts = ts_tab[nc_ids[i]]
-                    b = io_ids[i]
-                    tr = tr_tab[b]
-                    tw = tw_tab[b]
-                    if tr > ts:
-                        ts = tr
-                    if tw > ts:
-                        ts = tw
-                    total[i] += ts
-        safety = self._safety
-        if safety is not None:
-            total = [t * safety for t in total]
-        cost = None
-        if want_cost:
-            rate_tab = [
-                (self._price(v) + self._disk_cost(spec_list[h])
-                 + self._disk_cost(spec_list[lo])) * node
-                for v, h, lo, node in rate_list
-            ]
-            cost = array("d", [
-                rate_tab[r] * t / 3600.0 for r, t in zip(rate_ids, total)
-            ])
-        codes_out = tuple(per_stage_codes) if want_bottlenecks else None
-        return array("d", total), cost, codes_out
-
-    def _limit_table(self, direction_groups, fill, delta, io_list, limits,
-                     zero_check):
-        """Per-unique-(hdfs, local, N) I/O limit term for one direction."""
-        table = []
-        for h, lo, node in io_list:
-            per_node = None
-            for gid, use_hdfs in direction_groups:
-                limit = limits[h][gid] if use_hdfs else limits[lo][gid]
-                if per_node is None or limit > per_node:
-                    per_node = limit
-            if per_node is None or (zero_check and per_node == 0.0):
-                table.append(0.0)
-            else:
-                value = per_node / node + fill + delta
-                table.append(value if value > 0.0 else 0.0)
-        return table
-
-    def _score_numpy(self, np, batch, want_cost, want_bottlenecks):
         n = len(batch)
         nodes = np.asarray(batch.nodes, dtype=np.float64)
         cores = np.asarray(batch.cores, dtype=np.float64)
-        h_inv, h_specs = _np_unique_specs(
+        h_inv, h_specs = _unique_specs(
             np, batch.hdfs_kinds, batch.hdfs_sizes_gb
         )
-        l_inv, l_specs = _np_unique_specs(
+        l_inv, l_specs = _unique_specs(
             np, batch.local_kinds, batch.local_sizes_gb
         )
         num_groups = len(self._groups)
@@ -639,9 +387,7 @@ class _Engine:
                 return np.zeros(n)
             value = per_node / nodes + fill + delta
             term = np.where(value > 0.0, value, 0.0)
-            if self._zero_check:
-                term = np.where(per_node == 0.0, 0.0, term)
-            return term
+            return np.where(per_node == 0.0, 0.0, term)
 
         total = np.zeros(n)
         per_stage_codes = []
@@ -662,8 +408,6 @@ class _Engine:
                 ).astype(np.uint8)
                 per_stage_codes.append(codes)
             total = total + np.maximum(np.maximum(ts, tr), tw)
-        if self._safety is not None:
-            total = total * self._safety
         cost = None
         if want_cost:
             v_unique, v_inv = np.unique(
@@ -680,11 +424,15 @@ class _Engine:
             )[l_inv]
             rate = (price + h_cost + l_cost) * nodes
             cost = rate * total / 3600.0
-        codes_out = tuple(per_stage_codes) if want_bottlenecks else None
-        return total, cost, codes_out
+        return BatchScores(
+            runtime_seconds=total,
+            cost_dollars=cost,
+            bottlenecks=tuple(per_stage_codes) if want_bottlenecks else None,
+            stage_names=self.stage_names,
+        )
 
 
-def _np_unique_specs(np, kinds, sizes_gb):
+def _unique_specs(np, kinds, sizes_gb):
     """Candidate → unique ``(kind, size_gb)`` index, without a Python loop.
 
     Kind labels and sizes are uniqued separately at C speed, combined
@@ -705,52 +453,11 @@ def _np_unique_specs(np, kinds, sizes_gb):
     return inverse, specs
 
 
-# -- public facades -----------------------------------------------------------
-
-
-class Eq1BatchEvaluator:
-    """Bit-exact batch form of the scalar Eq.-1 prediction stack.
-
-    Built once from a profiling report; each :meth:`score` call
-    evaluates every candidate in a :class:`CandidateBatch` and returns
-    :class:`BatchScores` whose runtimes, costs, and bottleneck labels
-    equal the scalar ``Predictor`` / ``CostOptimizer.evaluate`` outputs
-    exactly (see the module docstring for why).
-    """
-
-    def __init__(self, report: ProfilingReport, backend: str | None = None) -> None:
-        self.report = report
-        self._backend = backend
-        groups: list = []
-        stages = _stages_from_report(report, groups)
-        self._engine = _Engine(
-            stages, groups, exact=True, safety=None, zero_check=True
-        )
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        """Profiled stage labels, in prediction order."""
-        return tuple(stage.name for stage in self._engine._stages)
-
-    def score(
-        self,
-        batch: CandidateBatch,
-        want_cost: bool = True,
-        want_bottlenecks: bool = True,
-        backend: str | None = None,
-    ) -> BatchScores:
-        """Score every candidate; see :class:`BatchScores` for the layout."""
-        return self._engine.score(
-            batch, want_cost, want_bottlenecks, backend or self._backend
-        )
-
-
 def score_batch(
     report: ProfilingReport,
     batch: CandidateBatch,
     want_cost: bool = True,
     want_bottlenecks: bool = True,
-    backend: str | None = None,
 ) -> BatchScores:
     """One-shot convenience: ``Eq1BatchEvaluator(report).score(batch)``.
 
@@ -758,41 +465,6 @@ def score_batch(
     :class:`Eq1BatchEvaluator` across calls to also reuse its memoized
     per-disk bandwidth tables.
     """
-    return Eq1BatchEvaluator(report, backend=backend).score(
+    return Eq1BatchEvaluator(report).score(
         batch, want_cost=want_cost, want_bottlenecks=want_bottlenecks
     )
-
-
-class LowerBoundBatch:
-    """Vectorized mirror of :class:`repro.cloud.bounds.RuntimeLowerBound`.
-
-    Takes the bound's extracted per-stage terms and reproduces its
-    scalar ``runtime_bound``/``cost_bound`` arithmetic — closed-form
-    bandwidth ceilings, the same clamps, the trailing ``safety``
-    multiplier — elementwise over a batch, so branch-and-bound pruning
-    decisions (and therefore evaluated/pruned counts) are identical to
-    the per-candidate implementation on either backend.
-    """
-
-    def __init__(self, stage_terms, safety: float = 1.0,
-                 backend: str | None = None) -> None:
-        self._backend = backend
-        groups: list = []
-        stages = _stages_from_terms(stage_terms, groups)
-        self._engine = _Engine(
-            stages, groups, exact=False, safety=safety, zero_check=False
-        )
-
-    def runtime_bounds(self, batch: CandidateBatch) -> Sequence[float]:
-        """Per-candidate runtime lower bounds, in seconds."""
-        return self._engine.score(
-            batch, want_cost=False, want_bottlenecks=False,
-            backend=self._backend,
-        ).runtime_seconds
-
-    def cost_bounds(self, batch: CandidateBatch) -> Sequence[float]:
-        """Per-candidate cost lower bounds, in dollars."""
-        return self._engine.score(
-            batch, want_cost=True, want_bottlenecks=False,
-            backend=self._backend,
-        ).cost_dollars

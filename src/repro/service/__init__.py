@@ -24,7 +24,7 @@ in ``docs/SERVICE.md``.
 """
 
 from repro.service.batcher import MicroBatcher
-from repro.service.engine import QueryEngine, config_dict
+from repro.service.engine import QueryEngine
 from repro.service.http import QueryServer, serve
 from repro.service.query import (
     DEFAULT_OPTIMIZE_VCPU_GRID,
@@ -40,7 +40,6 @@ __all__ = [
     "Query",
     "QueryEngine",
     "QueryServer",
-    "config_dict",
     "parse_query",
     "serve",
 ]

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.optimizer import CostOptimizer
-from repro.cloud.pricing import CloudConfiguration
+from repro.cloud.pricing import CloudConfiguration, config_dict
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -55,7 +55,6 @@ from repro.errors import (
     QueryError,
     ServiceError,
 )
-from repro.model.arrays import backend_name
 from repro.parallel import ExecutionPolicy, TaskSupervisor, resolve_backend
 from repro.pipeline.cache import ResultCache, prediction_key, run_key
 from repro.pipeline.fingerprint import fingerprint as content_fingerprint
@@ -66,21 +65,7 @@ from repro.service.query import Query, parse_query
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.runner import measure_workload
 
-__all__ = ["QueryEngine", "config_dict"]
-
-
-def config_dict(config: CloudConfiguration) -> dict:
-    """A CloudConfiguration as a JSON-ready mapping (the CLI's shape)."""
-    return {
-        "machine": config.machine.name,
-        "vcpus": config.machine.vcpus,
-        "num_workers": config.num_workers,
-        "hdfs_disk_kind": config.hdfs_disk_kind,
-        "hdfs_disk_gb": config.hdfs_disk_gb,
-        "local_disk_kind": config.local_disk_kind,
-        "local_disk_gb": config.local_disk_gb,
-        "label": config.label(),
-    }
+__all__ = ["QueryEngine"]
 
 
 @dataclass(frozen=True)
@@ -382,7 +367,6 @@ class QueryEngine:
             "config": config_dict(config),
             "runtime_seconds": runtime,
             "cost_dollars": cost,
-            "backend": backend_name(),
         }
 
     def _flush_predicts(self, entries) -> None:
@@ -474,20 +458,15 @@ class QueryEngine:
             min_local_gb=min_local,
         )
         result = await self._call(
-            lambda: optimizer.grid_search(
-                vcpu_grid=query.vcpu_grid, prune=query.prune
-            )
+            lambda: optimizer.grid_search(vcpu_grid=query.vcpu_grid)
         )
         return {
             "kind": "optimize",
             "workload": query.workload,
             "fingerprint": fp,
             "vcpu_grid": list(query.vcpu_grid),
-            "prune": query.prune,
             "num_workers": query.num_workers,
             "num_evaluated": result.num_evaluated,
-            "num_pruned": result.num_pruned,
-            "backend": backend_name(),
             "best": {
                 "config": config_dict(result.best.config),
                 "runtime_seconds": result.best.runtime_seconds,

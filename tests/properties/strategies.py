@@ -1,7 +1,8 @@
 """Hypothesis strategies for the metamorphic pipeline suite.
 
-Unlike ``tests/property/`` (micro-level component invariants), this
-package sweeps the *whole* simulator/model pipeline: randomized
+Unlike the ``test_*_properties.py`` modules beside it (micro-level
+component invariants), the pipeline suite sweeps the *whole*
+simulator/model pipeline: randomized
 :class:`~repro.workloads.base.WorkloadSpec` trees crossed with
 randomized :class:`~repro.faults.plan.FaultPlan` instances and
 ``(N, P)`` shapes, checked against the :mod:`repro.invariants`
@@ -12,9 +13,9 @@ a few tasks, a few megabytes, one or two stages.  The invariants are
 scale-free, so small instances exercise the same code paths (queueing,
 contention, fault windows, re-execution) as the paper-sized workloads.
 
-All tests share :data:`PROPERTY_SETTINGS` — derandomized with no
-example database, so CI and local runs execute the identical fixed
-example set.
+All pipeline-suite tests share :data:`PROPERTY_SETTINGS` — derandomized
+with no example database, so CI and local runs execute the identical
+fixed example set.
 """
 
 from __future__ import annotations

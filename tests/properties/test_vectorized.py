@@ -1,33 +1,23 @@
 """PR-6 equivalence properties: the array kernel changes nothing.
 
 The refactor moved every Eq.-1 evaluation — optimizer grid, descent
-neighborhoods, disk-size sweeps, branch-and-bound lower bounds — onto
-:mod:`repro.model.arrays`.  Its contract is *exact* equality with the
-scalar stack, not approximate: the kernel replays the scalar model's
-float operations in the scalar order, so every comparison below uses
-``==`` on raw floats.  Checked across randomized workloads and grids on
-both backends (pure Python and numpy, when installed), so the suite is
-meaningful with or without numpy in the environment — CI runs it twice.
+neighborhoods, disk-size sweeps — onto :mod:`repro.model.arrays`.  Its
+contract is *exact* equality with the scalar stack, not approximate: the
+kernel replays the scalar model's float operations in the scalar order,
+so every comparison below uses ``==`` on raw floats, across randomized
+workloads and grids.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.bounds import _SAFETY, RuntimeLowerBound
 from repro.cloud.disks import make_persistent_disk
 from repro.cloud.optimizer import CostOptimizer
 from repro.core import Predictor, Profiler
 from repro.errors import ProfilingError
-from repro.model.arrays import (
-    CandidateBatch,
-    Eq1BatchEvaluator,
-    LowerBoundBatch,
-    backend_name,
-    score_batch,
-)
+from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator, score_batch
 
 from .strategies import PROPERTY_SETTINGS, workload_specs
 
@@ -35,9 +25,6 @@ EQUIV_SETTINGS = dict(
     suppress_health_check=(HealthCheck.filter_too_much, HealthCheck.too_slow),
     **PROPERTY_SETTINGS,
 )
-
-#: Both backends when numpy is importable, else just the fallback.
-BACKENDS = ("python",) if backend_name() == "python" else ("python", "numpy")
 
 
 def _has_work(spec) -> bool:
@@ -86,10 +73,9 @@ vcpu_grids = st.lists(
     vcpu_grid=vcpu_grids,
     hdfs_sizes=size_grids,
     local_sizes=size_grids,
-    backend=st.sampled_from(BACKENDS),
 )
 def test_score_batch_equals_scalar_evaluation(
-    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes, backend
+    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes
 ):
     """Batch runtime/cost/bottlenecks == the scalar model's, bit for bit."""
     report = _profile(spec)
@@ -98,9 +84,8 @@ def test_score_batch_equals_scalar_evaluation(
         vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
     )
     scores = Eq1BatchEvaluator(report).score(
-        CandidateBatch.from_configs(configs), backend=backend
+        CandidateBatch.from_configs(configs)
     )
-    assert scores.backend == backend
     for index, config in enumerate(configs):
         prediction = optimizer._predict_fresh(config)
         assert float(scores.runtime_seconds[index]) == prediction.t_app
@@ -152,67 +137,6 @@ def test_grid_search_argmin_matches_scalar_reference(
     assert result.num_evaluated == len(result.evaluated)
 
 
-@pytest.mark.skipif(
-    backend_name() == "python", reason="numpy backend not installed"
-)
-@settings(max_examples=15, **EQUIV_SETTINGS)
-@given(
-    spec=workload_specs(),
-    num_workers=st.sampled_from((2, 5, 10)),
-    vcpu_grid=vcpu_grids,
-    hdfs_sizes=size_grids,
-    local_sizes=size_grids,
-)
-def test_numpy_and_python_backends_agree_bitwise(
-    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes
-):
-    report = _profile(spec)
-    configs = _optimizer(report, num_workers)._grid_candidates(
-        vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
-    )
-    batch = CandidateBatch.from_configs(configs)
-    evaluator = Eq1BatchEvaluator(report)
-    py = evaluator.score(batch, backend="python")
-    np_ = evaluator.score(batch, backend="numpy")
-    assert [float(x) for x in np_.runtime_seconds] == list(py.runtime_seconds)
-    assert [float(x) for x in np_.cost_dollars] == list(py.cost_dollars)
-    assert py.stage_names == np_.stage_names
-    for stage_index in range(len(py.stage_names)):
-        assert [int(code) for code in np_.bottlenecks[stage_index]] == list(
-            py.bottlenecks[stage_index]
-        )
-    assert py.argmin_cost() == np_.argmin_cost()
-
-
-@settings(max_examples=15, **EQUIV_SETTINGS)
-@given(
-    spec=workload_specs(),
-    num_workers=st.sampled_from((2, 5, 10)),
-    vcpu_grid=vcpu_grids,
-    hdfs_sizes=size_grids,
-    local_sizes=size_grids,
-    backend=st.sampled_from(BACKENDS),
-)
-def test_batch_bounds_equal_scalar_bounds(
-    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes, backend
-):
-    """runtime_bounds/cost_bounds == per-config runtime_bound/cost_bound."""
-    report = _profile(spec)
-    bound = RuntimeLowerBound(report)
-    configs = _optimizer(report, num_workers)._grid_candidates(
-        vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
-    )
-    batch = CandidateBatch.from_configs(configs)
-    batch_bound = LowerBoundBatch(
-        bound._stages, safety=_SAFETY, backend=backend
-    )
-    runtimes = batch_bound.runtime_bounds(batch)
-    costs = batch_bound.cost_bounds(batch)
-    for index, config in enumerate(configs):
-        assert float(runtimes[index]) == bound.runtime_bound(config)
-        assert float(costs[index]) == bound.cost_bound(config)
-
-
 @settings(max_examples=10, **EQUIV_SETTINGS)
 @given(
     spec=workload_specs(),
@@ -220,9 +144,8 @@ def test_batch_bounds_equal_scalar_bounds(
         st.sampled_from((50.0, 100.0, 250.0, 500.0, 1000.0)),
         min_size=1, max_size=4, unique=True,
     ).map(tuple),
-    backend=st.sampled_from(BACKENDS),
 )
-def test_model_only_batch_matches_device_models(spec, sizes, backend):
+def test_model_only_batch_matches_device_models(spec, sizes):
     """A vcpus-free sweep batch reproduces per-size scalar models."""
     report = _profile(spec)
     predictor = Predictor(report)
@@ -235,7 +158,7 @@ def test_model_only_batch_matches_device_models(spec, sizes, backend):
         local_sizes_gb=sizes,
     )
     scores = score_batch(
-        report, batch, want_cost=False, want_bottlenecks=False, backend=backend
+        report, batch, want_cost=False, want_bottlenecks=False
     )
     assert scores.cost_dollars is None
     for index, size_gb in enumerate(sizes):

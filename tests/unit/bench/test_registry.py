@@ -77,12 +77,12 @@ def test_compose_snapshot_legacy_shape():
     snapshot = bench.compose_snapshot({
         "engine": {"benchmark": "gatk4-md-stage", "wall_seconds_best": 0.1},
         "cache": {"cache_speedup": 30.0},
-        "vectorized": {"python_cand_per_s": 2e5},
+        "vectorized": {"numpy_cand_per_s": 2e5},
     })
     # Engine metrics merge at the top level; others nest under their key.
     assert snapshot["benchmark"] == "gatk4-md-stage"
     assert snapshot["core_sweep"] == {"cache_speedup": 30.0}
-    assert snapshot["vectorized"] == {"python_cand_per_s": 2e5}
+    assert snapshot["vectorized"] == {"numpy_cand_per_s": 2e5}
     assert "engine" not in snapshot
 
 
@@ -91,7 +91,7 @@ def test_compose_snapshot_partial_run_preserves_existing():
         "benchmark": "gatk4-md-stage",
         "wall_seconds_best": 0.1,
         "core_sweep": {"cache_speedup": 30.0},
-        "vectorized": {"python_cand_per_s": 2e5},
+        "vectorized": {"numpy_cand_per_s": 2e5},
     }
     snapshot = bench.compose_snapshot(
         {"engine": {"benchmark": "gatk4-md-stage", "wall_seconds_best": 0.2}},

@@ -1,12 +1,13 @@
 """Unit coverage for the array model core (:mod:`repro.model.arrays`).
 
 The exactness properties live in ``tests/properties/test_vectorized.py``;
-this file pins the surface: backend selection, batch validation, error
-paths, and the score-container accessors.
+this file pins the surface: batch validation, error paths, and the
+score-container accessors.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.pricing import CloudConfiguration
@@ -18,17 +19,13 @@ from repro.core.profiler import (
 )
 from repro.errors import ConfigurationError, ModelError
 from repro.model.arrays import (
-    BACKEND_ENV_VAR,
     BOTTLENECK_LABELS,
     BatchScores,
     CandidateBatch,
     Eq1BatchEvaluator,
-    backend_name,
     score_batch,
 )
 from repro.workloads import make_svm_workload
-
-HAS_NUMPY = backend_name() == "numpy"
 
 
 @pytest.fixture(scope="module")
@@ -48,32 +45,6 @@ def _batch(count=2, **overrides):
     )
     columns.update(overrides)
     return CandidateBatch(**columns)
-
-
-# -- backend selection --------------------------------------------------------
-
-
-def test_backend_name_explicit_python():
-    assert backend_name("python") == "python"
-
-
-def test_backend_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    assert backend_name() == "python"
-
-
-def test_unknown_backend_is_a_configuration_error():
-    with pytest.raises(ConfigurationError, match="unknown array backend"):
-        backend_name("cuda")
-
-
-def test_env_var_loses_to_explicit_argument(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    if HAS_NUMPY:
-        assert backend_name("numpy") == "numpy"
-    else:
-        with pytest.raises(ConfigurationError, match="numpy is not installed"):
-            backend_name("numpy")
 
 
 # -- batch construction -------------------------------------------------------
@@ -175,27 +146,19 @@ def test_bottleneck_label_requires_bottlenecks(report):
 
 def test_argmin_cost_prefers_first_exact_tie():
     scores = BatchScores(
-        runtime_seconds=(1.0, 2.0, 3.0),
-        cost_dollars=(5.0, 4.0, 4.0),
+        runtime_seconds=np.array([1.0, 2.0, 3.0]),
+        cost_dollars=np.array([5.0, 4.0, 4.0]),
         bottlenecks=None,
         stage_names=(),
-        backend="python",
     )
     assert scores.argmin_cost() == 1
 
 
 def test_argmin_requires_cost():
     scores = BatchScores(
-        runtime_seconds=(1.0,), cost_dollars=None, bottlenecks=None,
-        stage_names=(), backend="python",
+        runtime_seconds=np.array([1.0]), cost_dollars=None, bottlenecks=None,
+        stage_names=(),
     )
     with pytest.raises(ModelError, match="no cost"):
         scores.argmin_cost()
 
-
-def test_evaluator_reports_requested_backend(report):
-    evaluator = Eq1BatchEvaluator(report)
-    scores = evaluator.score(_batch(count=1), backend="python")
-    assert scores.backend == "python"
-    if HAS_NUMPY:
-        assert evaluator.score(_batch(count=1), backend="numpy").backend == "numpy"

@@ -118,6 +118,21 @@ class TestRoutes:
                     host, port, post_blob("/query", b'{"kind": "explain"}')
                 )
                 assert status == 400 and body["error"] == "QueryError"
+                # An optimize field outside the schema (prune) -> 400
+                # QueryError, like any other unknown field.
+                status, body = await raw_request(
+                    host,
+                    port,
+                    post_blob(
+                        "/query",
+                        json.dumps({
+                            "kind": "optimize", "workload": NAME,
+                            "prune": True,
+                        }).encode(),
+                    ),
+                )
+                assert status == 400 and body["error"] == "QueryError"
+                assert "prune" in body["message"]
                 # Oversized body -> 413 before reading it.
                 huge = (
                     f"POST /query HTTP/1.1\r\nHost: t\r\n"

@@ -71,7 +71,6 @@ class TestValidation:
     def test_optimize_grid_default_matches_cli(self):
         query = parse_query({"kind": "optimize", "workload": "svm"})
         assert query.vcpu_grid == DEFAULT_OPTIMIZE_VCPU_GRID
-        assert query.prune is False
         assert query.num_workers == 10
 
     def test_optimize_empty_grid_rejected(self):
@@ -80,10 +79,10 @@ class TestValidation:
                 {"kind": "optimize", "workload": "svm", "vcpu_grid": []}
             )
 
-    def test_optimize_prune_must_be_bool(self):
-        with pytest.raises(QueryError, match="prune"):
+    def test_optimize_prune_is_an_unknown_field(self):
+        with pytest.raises(QueryError, match=r"unknown field.*'prune'"):
             parse_query(
-                {"kind": "optimize", "workload": "svm", "prune": "yes"}
+                {"kind": "optimize", "workload": "svm", "prune": True}
             )
 
 

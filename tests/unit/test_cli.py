@@ -58,17 +58,21 @@ class TestParser:
         ):
             assert build_parser().parse_args(command).workers is None
 
-    def test_optimize_cluster_and_prune_flags(self):
+    def test_optimize_cluster_flag(self):
         args = build_parser().parse_args(["optimize", "--workload", "gatk4"])
         assert args.cluster_workers == 10
-        assert args.prune is False
         args = build_parser().parse_args(
             ["optimize", "--workload", "gatk4", "--cluster-workers", "6",
-             "--prune", "--workers", "2"]
+             "--workers", "2"]
         )
         assert args.cluster_workers == 6
-        assert args.prune is True
         assert args.workers == 2
+
+    def test_optimize_prune_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "--workload", "svm", "--prune"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --prune" in capsys.readouterr().err
 
     def test_optimize_top_and_json_flags(self):
         args = build_parser().parse_args(["optimize", "--workload", "gatk4"])
@@ -246,13 +250,11 @@ class TestPipelineCommand:
     def test_optimize_json_payload(self, capsys):
         argv = [
             "optimize", "--workload", "svm", "--profile-nodes", "2",
-            "--top", "2", "--prune", "--json",
+            "--top", "2", "--json",
         ]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["workload"] == "SVM"
-        assert payload["backend"] in ("python", "numpy")
-        assert payload["num_pruned"] > 0
         assert [entry["rank"] for entry in payload["top"]] == [1, 2]
         # Ranked ascending by cost, and rank 1 is the search optimum.
         costs = [entry["cost_dollars"] for entry in payload["top"]]
