@@ -1,30 +1,22 @@
 """First-class benchmark subsystem: sections, history, regression gates.
 
-Benchmarking used to live in one 745-line ``benchmarks/perf_simulator.py``
-monolith that overwrote a single ``BENCH_simulator.json`` snapshot; the
-performance trajectory (the 9.7x engine rewrite, the ~200x array
-kernel) was invisible, and regressions were only
-caught by hand-tuned per-section guards buried in ``check()``.  This
-package promotes all of that to a subsystem:
+``python -m repro bench`` is the one benchmark entry point and
+``BENCH_history.jsonl`` the one result store:
 
 - :mod:`repro.bench.registry` — the :class:`BenchmarkSection` protocol
-  and the plugin registry the CLI and the compat shim both consume;
-- :mod:`repro.bench.sections` — the monolith's scenarios (engine, cache,
-  search, resilience, parallel, vectorized) decomposed into registered
-  sections, with every legacy guard threshold preserved as a
-  section-level floor;
+  and the plugin registry the CLI consumes;
+- :mod:`repro.bench.sections` — the built-in scenarios (engine, cache,
+  search, resilience, parallel, vectorized, multitenant, service), each
+  with its absolute floors and its history gates;
 - :mod:`repro.bench.history` — the append-only ``BENCH_history.jsonl``
   store (one record per run: git SHA, timestamp, host fingerprint,
-  per-section metrics) plus the atomic latest-snapshot writer that keeps
-  ``BENCH_simulator.json`` as the compatibility view;
+  per-section metrics);
 - :mod:`repro.bench.gates` — the statistical regression detector:
   median-of-last-K history comparison inside a noise band, partitioned
   by host fingerprint, with structured pass/warn/fail verdicts;
 - :mod:`repro.bench.runner` — orchestration behind
   ``python -m repro bench`` (and ``--check`` gate-only mode);
-- :mod:`repro.bench.legacy` — the old ``perf_simulator.py`` entry point
-  (``collect``/``check``/``main``) reimplemented on the registry, so the
-  monolith shrinks to a shim without changing CI semantics.
+- :mod:`repro.bench.report` — the ``--report`` trajectory renderer.
 
 See docs/BENCHMARKS.md for the history schema and how gates decide.
 """
@@ -32,12 +24,7 @@ See docs/BENCHMARKS.md for the history schema and how gates decide.
 from __future__ import annotations
 
 from repro.bench.gates import GatePolicy, MetricGate, Verdict, evaluate_section
-from repro.bench.history import (
-    BenchHistory,
-    fingerprint_key,
-    host_fingerprint,
-    write_snapshot,
-)
+from repro.bench.history import BenchHistory, fingerprint_key, host_fingerprint
 from repro.bench.report import render_history_report
 from repro.bench.registry import (
     BenchmarkSection,
@@ -46,7 +33,7 @@ from repro.bench.registry import (
     resolve_sections,
     section_names,
 )
-from repro.bench.runner import BenchReport, compose_snapshot, run_bench
+from repro.bench.runner import BenchReport, run_bench
 
 # Importing the module registers the built-in sections.
 import repro.bench.sections  # noqa: E402,F401  (import for side effect)
@@ -59,7 +46,6 @@ __all__ = [
     "MetricGate",
     "Verdict",
     "all_sections",
-    "compose_snapshot",
     "evaluate_section",
     "fingerprint_key",
     "host_fingerprint",
@@ -68,5 +54,4 @@ __all__ = [
     "resolve_sections",
     "run_bench",
     "section_names",
-    "write_snapshot",
 ]

@@ -12,14 +12,13 @@ dotted path, e.g. ``"grid.warm_wall_seconds"``) and how to judge it:
   never judged against multi-core dev-host history.  With fewer than
   ``GatePolicy.min_history`` matching records the gate passes with a
   thin-history note — the section's absolute floors (its ``guards``)
-  still apply, which is the fallback the monolith's fixed thresholds
-  used to provide.
+  still apply as the fallback.
 - ``"exact"`` — deterministic quantities (simulated makespans, the
-  search optimum).  The engine is deterministic across hosts and
-  backends, so these compare against the most recent history record
-  that carries the metric, regardless of fingerprint, within
-  ``rel_tolerance``.  Any divergence is a ``fail``: simulation output
-  changed, which is a correctness event, not noise.
+  search optimum).  The engine is deterministic across hosts, so these
+  compare against the most recent history record that carries the
+  metric, regardless of fingerprint, within ``rel_tolerance``.  Any
+  divergence is a ``fail``: simulation output changed, which is a
+  correctness event, not noise.
 
 Verdicts are structured (:class:`Verdict`) so the CLI can render them,
 ``--json`` can emit them, and CI can annotate warns while failing only
@@ -42,7 +41,6 @@ class MetricGate:
     warn_ratio: float = 2.0
     fail_ratio: float = 4.0
     rel_tolerance: float = 1e-9  # exact gates only
-    fingerprint_scoped: bool = True
 
     def __post_init__(self) -> None:
         if self.direction not in ("lower", "higher", "exact"):
@@ -105,12 +103,16 @@ def _matching_values(
     history: list[dict],
     fingerprint: str | None,
 ) -> list[Any]:
-    """The gate's metric, extracted from matching records, oldest first."""
+    """The gate's metric, extracted from matching records, oldest first.
+
+    Band gates only see records from the same fingerprint; exact gates
+    see every record.
+    """
+    scoped = gate.direction != "exact" and fingerprint is not None
     values = []
     for record in history:
-        if gate.fingerprint_scoped and fingerprint is not None:
-            if record.get("fingerprint_key") != fingerprint:
-                continue
+        if scoped and record.get("fingerprint_key") != fingerprint:
+            continue
         metrics = record.get("sections", {}).get(section_name)
         if metrics is None:
             continue

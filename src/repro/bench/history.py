@@ -1,29 +1,21 @@
-"""Append-only benchmark trajectory store and the atomic snapshot view.
+"""The append-only benchmark trajectory store.
 
-``BENCH_history.jsonl`` holds one JSON record per bench run — the
-trajectory the old overwritten snapshot could never show.  Each record
-carries the git SHA, a UTC timestamp, the host fingerprint (CPU count,
-python version, numpy presence, pinned arrays backend) and every
-section's metrics.  The file is append-only so the perf story across
-PRs is a curve, not a point; :meth:`BenchHistory.rotate` trims it when
-asked, atomically.
+``BENCH_history.jsonl`` holds one JSON record per bench run, and it is
+the only place bench results are kept.  Each record carries the git
+SHA, a UTC timestamp, the host fingerprint (CPU count, python version,
+numpy version) and every section's metrics.  The file is append-only
+so the perf story across PRs is a curve, not a point.
 
 Reading mirrors the :class:`~repro.pipeline.cache.ResultCache`
 checkpoint semantics: a corrupt line (truncated append, hand-editing)
 is skipped with a warning, never fatal — history is an accelerator for
 regression detection, and the worst acceptable outcome of damage is a
 thinner window.
-
-``BENCH_simulator.json`` stays as the latest-snapshot compatibility
-view; :func:`write_snapshot` writes it atomically (temp file +
-``os.replace``, like the cache checkpoints) so an interrupted bench run
-can never leave a truncated snapshot behind.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -142,39 +134,6 @@ class BenchHistory:
                 records.append(record)
         return records
 
-    def rotate(self, max_records: int) -> int:
-        """Keep only the newest ``max_records``; returns how many dropped.
-
-        The rewrite is atomic (temp file + ``os.replace``) so a crash
-        mid-rotation leaves the previous file intact.
-        """
-        if max_records < 1:
-            raise ValueError("max_records must be at least 1")
-        records = self.load()
-        if len(records) <= max_records:
-            return 0
-        kept = records[-max_records:]
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in kept:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
-        return len(records) - len(kept)
-
     def __len__(self) -> int:
         return len(self.load())
 
-
-def write_snapshot(path: str | Path, snapshot: dict) -> Path:
-    """Atomically write the ``BENCH_simulator.json`` latest view.
-
-    Temp file in the same directory then ``os.replace`` — the same
-    crash-safety contract as :meth:`repro.pipeline.cache.ResultCache.save`:
-    an interrupted bench run leaves the previous snapshot, never a
-    truncated one.
-    """
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(json.dumps(snapshot, indent=2) + "\n")
-    os.replace(tmp, target)
-    return target

@@ -1,19 +1,11 @@
-"""Orchestration behind ``python -m repro bench`` and the legacy shim.
+"""Orchestration behind ``python -m repro bench``.
 
 :func:`run_bench` runs the selected sections, judges every metric gate
 against the rolling history, folds the sections' absolute floors into
 the same verdict stream (metric ``"guard"``, always a fail), and hands
 back a :class:`BenchReport`.  Persistence — appending the history
-record, rotating, writing the snapshot — is the caller's business, so
-the runner is equally usable from the CLI, the legacy entry point, and
-tests.
-
-:func:`compose_snapshot` rebuilds the ``BENCH_simulator.json`` view
-from per-section metrics: the ``engine`` section's metrics form the
-top level (the historical shape), every other section sits under its
-``snapshot_key``.  Passing the previously-written snapshot as
-``existing`` lets a partial ``--sections`` run refresh only the
-sections it actually ran.
+record — is the caller's business, so the runner is equally usable
+from the CLI and from tests.
 """
 
 from __future__ import annotations
@@ -28,6 +20,7 @@ from repro.bench.history import (
     make_record,
 )
 from repro.bench.registry import BenchmarkSection, all_sections
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -73,8 +66,13 @@ def run_bench(
 
     ``history`` is only *read* here (for the gate comparisons); the
     caller decides whether the returned ``report.record`` gets
-    appended.
+    appended.  ``rounds`` below 1 is a :class:`ConfigurationError`:
+    a run must time at least one round, and its record says how many.
     """
+    if rounds < 1:
+        raise ConfigurationError(
+            f"bench rounds must be at least 1, got {rounds}"
+        )
     sections = sections if sections is not None else all_sections()
     records = history.load() if history is not None else []
     fingerprint = host_fingerprint()
@@ -101,25 +99,3 @@ def run_bench(
         record=make_record(metrics_by_name, rounds, fingerprint),
     )
 
-
-def compose_snapshot(
-    section_metrics: dict[str, dict], existing: dict | None = None
-) -> dict:
-    """The ``BENCH_simulator.json`` view of per-section metrics.
-
-    The ``engine`` section (``snapshot_key is None``) merges at the top
-    level — that is the monolith's historical shape — and every other
-    section sits under its key.  ``existing`` seeds the result so a
-    subset run preserves the sections it did not touch.
-    """
-    keys = {
-        section.name: section.snapshot_key for section in all_sections()
-    }
-    snapshot = dict(existing) if existing else {}
-    for name, metrics in section_metrics.items():
-        key = keys.get(name, name)
-        if key is None:
-            snapshot.update(metrics)
-        else:
-            snapshot[key] = metrics
-    return snapshot

@@ -1,19 +1,18 @@
-"""The built-in benchmark sections, decomposed from the old monolith.
+"""The built-in benchmark sections.
 
 Each section is a registered :class:`~repro.bench.registry.BenchmarkSection`
 carrying three layers of protection:
 
 1. **correctness asserts** inside ``run`` — bit-identity, exactness vs
    the scalar model — which fire on every invocation;
-2. **absolute floors** in ``guards`` — the legacy monolith's fixed
-   thresholds (cache speedup >= 2x, kernel >= 1e5 cand/s, ...), which
-   hold on every run and are the fallback when history is thin;
+2. **absolute floors** in ``guards`` — fixed thresholds (cache speedup
+   >= 2x, kernel >= 1e6 cand/s, ...), which hold on every run and are
+   the fallback when history is thin;
 3. **history gates** in ``gates`` — the statistical detector's metric
    specs, judged against the rolling ``BENCH_history.jsonl`` window.
 
-Metric dictionaries keep the exact key shape the monolith wrote, so the
-regenerated ``BENCH_simulator.json`` is drop-in identical for the same
-host and the committed trajectory stays comparable across the refactor.
+Metric key shapes are stable across commits, so every record in the
+committed trajectory stays comparable with a fresh run.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ import time
 from repro.bench.gates import MetricGate
 from repro.bench.registry import BenchmarkSection, register_section
 
-# -- scenario constants (values unchanged from benchmarks/perf_simulator.py) --
+# -- scenario constants -------------------------------------------------------
 
 NUM_SLAVES = 10
 CORES_PER_NODE = 24
-DEFAULT_ROUNDS = 3
 
 #: Fig. 3 setting: the 3-slave motivation cluster, 2SSD placement.
 SWEEP_SLAVES = 3
@@ -44,9 +42,9 @@ SEARCH_VCPUS = (8, 16, 32)
 # meaningful without checking out old revisions.
 SCAN_LOOP_BASELINE_SECONDS = 0.777
 
-#: Legacy snapshot check: fresh wall times may not exceed this multiple of
-#: the recorded ones — generous, because CI machines are noisy.  The
-#: history gates reuse it as their fail band.
+#: Fresh wall times may not exceed this multiple of the rolling median of
+#: the same host's history — generous, because CI machines are noisy.  It
+#: is the fail ratio of every band gate.
 WALL_TOLERANCE = 4.0
 
 #: Minimum cold/warm speedup the result cache must deliver.
@@ -86,7 +84,7 @@ MAX_SUPERVISION_OVERHEAD = 0.05
 SUPERVISION_ITEMS = 32
 
 #: History-gate band shared by wall-time metrics: warn at half the
-#: legacy tolerance, fail at the legacy tolerance itself.
+#: tolerance, fail at the tolerance itself.
 _WALL_BAND = {"warn_ratio": WALL_TOLERANCE / 2, "fail_ratio": WALL_TOLERANCE}
 
 
@@ -133,7 +131,7 @@ def run_engine(rounds: int) -> dict:
     """The historical event-loop microbenchmark (fields kept stable)."""
     walls = []
     makespan = None
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         wall, makespan = run_md_stage_once()
         walls.append(wall)
     best = min(walls)
@@ -154,11 +152,9 @@ def run_engine(rounds: int) -> dict:
 register_section(BenchmarkSection(
     name="engine",
     title="GATK4 MD stage on the indexed event heap (973 tasks, 10 slaves)",
-    snapshot_key=None,
     run=run_engine,
     gates=(
-        MetricGate("simulated_makespan_seconds", "exact",
-                   fingerprint_scoped=False),
+        MetricGate("simulated_makespan_seconds", "exact"),
         MetricGate("wall_seconds_best", "lower", **_WALL_BAND),
     ),
 ))
@@ -213,15 +209,13 @@ def guard_cache(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="cache",
     title="Fig. 3 core sweep cold vs warm through the shared result cache",
-    snapshot_key="core_sweep",
     run=run_cache,
     guards=guard_cache,
     gates=(
-        MetricGate("total_seconds_per_p", "exact", fingerprint_scoped=False),
+        MetricGate("total_seconds_per_p", "exact"),
         MetricGate("cold_wall_seconds", "lower", **_WALL_BAND),
         MetricGate("cache_speedup", "higher", **_WALL_BAND),
     ),
-    slow=True,
 ))
 
 
@@ -242,7 +236,7 @@ def run_search(rounds: int) -> dict:
 
     walls = []
     result = None
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         start = time.perf_counter()
         result = optimizer.grid_search(vcpu_grid=SEARCH_VCPUS)
         walls.append(time.perf_counter() - start)
@@ -263,12 +257,11 @@ def run_search(rounds: int) -> dict:
 register_section(BenchmarkSection(
     name="search",
     title="Fig. 13/15 cost-optimizer grid search (864 candidates)",
-    snapshot_key="optimizer_search",
     run=run_search,
     gates=(
-        MetricGate("best_runtime_seconds", "exact", fingerprint_scoped=False),
-        MetricGate("best_cost_dollars", "exact", fingerprint_scoped=False),
-        MetricGate("best_config", "exact", fingerprint_scoped=False),
+        MetricGate("best_runtime_seconds", "exact"),
+        MetricGate("best_cost_dollars", "exact"),
+        MetricGate("best_config", "exact"),
         MetricGate("wall_seconds", "lower", **_WALL_BAND),
         MetricGate("candidates_per_second", "higher", **_WALL_BAND),
     ),
@@ -373,15 +366,13 @@ def guard_resilience(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="resilience",
     title="speculation + blacklisting vs a 2.5x straggler on the MD stage",
-    snapshot_key="resilience",
     run=run_resilience,
     guards=guard_resilience,
     gates=(
-        MetricGate("clean_seconds", "exact", fingerprint_scoped=False),
-        MetricGate("clean_speculation_seconds", "exact",
-                   fingerprint_scoped=False),
-        MetricGate("unmitigated_seconds", "exact", fingerprint_scoped=False),
-        MetricGate("mitigated_seconds", "exact", fingerprint_scoped=False),
+        MetricGate("clean_seconds", "exact"),
+        MetricGate("clean_speculation_seconds", "exact"),
+        MetricGate("unmitigated_seconds", "exact"),
+        MetricGate("mitigated_seconds", "exact"),
         MetricGate("wall_seconds", "lower", **_WALL_BAND),
     ),
 ))
@@ -462,7 +453,7 @@ def run_parallel(rounds: int) -> dict:
     items = list(range(SUPERVISION_ITEMS))
     expected = [_supervision_work(item) for item in items]
     raw_walls, supervised_walls = [], []
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         with ProcessPoolBackend(PARALLEL_WORKERS) as backend:
             start = time.perf_counter()
             raw_results = backend.map(_supervision_work, items)
@@ -535,7 +526,6 @@ def guard_parallel(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="parallel",
     title="two-worker process-parallel grid + supervision (PR 5)",
-    snapshot_key="parallel",
     run=run_parallel,
     guards=guard_parallel,
     gates=(
@@ -543,7 +533,6 @@ register_section(BenchmarkSection(
         MetricGate("supervision.supervised_wall_seconds", "lower",
                    **_WALL_BAND),
     ),
-    slow=True,
 ))
 
 
@@ -601,7 +590,7 @@ def run_vectorized(rounds: int) -> dict:
         vcpus=grid.vcpus * VECTOR_TILE_REPS,
     )
     walls = []
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         start = time.perf_counter()
         evaluator.score(tiled, want_bottlenecks=False)
         walls.append(time.perf_counter() - start)
@@ -637,7 +626,6 @@ def guard_vectorized(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="vectorized",
     title="array-kernel throughput, exactness-gated (PR 6)",
-    snapshot_key="vectorized",
     run=run_vectorized,
     guards=guard_vectorized,
     gates=(
@@ -689,7 +677,7 @@ def run_multitenant(rounds: int) -> dict:
 
     walls = []
     mix = None
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         experiment = Experiment(lr, platform)  # fresh cache: a cold mix
         start = time.perf_counter()
         mix = experiment.measure_mix(
@@ -767,13 +755,11 @@ def guard_multitenant(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="multitenant",
     title="two-job LR+SVM mix with cross-job disk contention (PR 8)",
-    snapshot_key="multitenant",
     run=run_multitenant,
     guards=guard_multitenant,
     gates=(
-        MetricGate("mix_makespan_seconds", "exact", fingerprint_scoped=False),
-        MetricGate("interference_slowdown", "exact", rel_tolerance=1e-6,
-                   fingerprint_scoped=False),
+        MetricGate("mix_makespan_seconds", "exact"),
+        MetricGate("interference_slowdown", "exact", rel_tolerance=1e-6),
         MetricGate("wall_seconds", "lower", **_WALL_BAND),
     ),
 ))
@@ -850,7 +836,7 @@ def run_service(rounds: int) -> dict:
             )
 
     best = None
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         outcome = asyncio.run(serve_once())
         if best is None or outcome["wall_seconds"] < best["wall_seconds"]:
             best = outcome
@@ -942,14 +928,11 @@ def guard_service(metrics: dict) -> list[str]:
 register_section(BenchmarkSection(
     name="service",
     title="what-if query engine: coalesced + batched serving (PR 10)",
-    snapshot_key="service",
     run=run_service,
     guards=guard_service,
     gates=(
-        MetricGate("reference_runtime_seconds", "exact",
-                   fingerprint_scoped=False),
-        MetricGate("reference_cost_dollars", "exact",
-                   fingerprint_scoped=False),
+        MetricGate("reference_runtime_seconds", "exact"),
+        MetricGate("reference_cost_dollars", "exact"),
         MetricGate("speedup_vs_naive", "higher", **_WALL_BAND),
         MetricGate("qps", "higher", **_WALL_BAND),
         MetricGate("wall_seconds", "lower", **_WALL_BAND),

@@ -56,15 +56,14 @@ reserved for unexpected crashes.
     evaluated.  ``--top K`` prints the K cheapest feasible
     configurations instead of just the winner, and ``--json`` emits the
     search outcome as a machine-readable record.
-``bench [--sections a,b] [--rounds N] [--check] [--skip-slow] [--json]
-[--history FILE] [--output FILE] [--max-history N] [--list]``
+``bench [--sections a,b] [--rounds N] [--check] [--json]
+[--history FILE] [--list] [--report]``
     Run the registered benchmark sections (:mod:`repro.bench`).  A
     normal run appends one record to the ``BENCH_history.jsonl``
-    trajectory and atomically refreshes the ``BENCH_simulator.json``
-    latest snapshot; ``--check`` runs gate-only (nothing written,
-    nonzero exit iff a section regresses beyond the noise band vs the
-    rolling history or breaks an absolute floor).  ``--skip-slow``
-    drops the slow sections so CI stays in budget, and ``--list``
+    trajectory, the only place bench results are kept; ``--check``
+    runs gate-only (nothing written, nonzero exit iff a section
+    regresses beyond the noise band vs the rolling history or breaks
+    an absolute floor).  ``--rounds`` must be at least 1.  ``--list``
     prints the registry with each section's gate specs (which metrics
     are band-gated vs history and which must stay exact).  ``--report``
     renders per-metric sparkline trajectories from the history file,
@@ -866,8 +865,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows = [
             [
                 section.name,
-                section.snapshot_key or "(top level)",
-                "slow" if section.slow else "",
                 "; ".join(gate_spec(gate) for gate in section.gates)
                 or "(none)",
                 section.title,
@@ -876,7 +873,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         print(render_table(
             "registered benchmark sections",
-            ["name", "snapshot key", "", "gates", "description"], rows))
+            ["name", "gates", "description"], rows))
         return 0
 
     names = None
@@ -887,7 +884,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for name in chunk.split(",")
             if name.strip()
         ]
-    sections = bench.resolve_sections(names, skip_slow=args.skip_slow)
+    sections = bench.resolve_sections(names)
     if not sections:
         raise ConfigurationError("no benchmark sections selected")
 
@@ -917,25 +914,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     history.append(report.record)
-    if args.max_history is not None:
-        dropped = history.rotate(args.max_history)
-        if dropped and not args.json:
-            print(f"[history rotated: dropped {dropped} oldest record(s)]")
-
-    output = Path(args.output)
-    existing = None
-    if output.exists() and len(report.sections) < len(bench.all_sections()):
-        try:
-            existing = json.loads(output.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = None
-    snapshot = bench.compose_snapshot(report.sections, existing=existing)
-    bench.write_snapshot(output, snapshot)
     if not args.json:
-        print(
-            f"[appended record #{len(history)} to {history.path};"
-            f" snapshot saved to {output}]"
-        )
+        print(f"[appended record #{len(history)} to {history.path}]")
     if not report.ok:
         raise BenchmarkRegressionError(
             f"{len(report.failures)} benchmark gate(s) failed"
@@ -1224,31 +1204,17 @@ def build_parser() -> argparse.ArgumentParser:
              " default: all registered sections",
     )
     bench.add_argument("--rounds", type=int, default=3,
-                       help="timing rounds per section (best-of)")
+                       help="timing rounds per section (best-of; at least 1)")
     bench.add_argument(
         "--check", action="store_true",
         help="gate-only mode: judge against the rolling history without"
-             " appending a record or rewriting the snapshot; exit"
-             " nonzero iff a gate fails",
-    )
-    bench.add_argument(
-        "--skip-slow", action="store_true",
-        help="skip sections flagged slow (unless named via --sections)",
+             " appending a record; exit nonzero iff a gate fails",
     )
     bench.add_argument("--json", action="store_true",
                        help="emit metrics and verdicts as JSON")
     bench.add_argument(
         "--history", default="BENCH_history.jsonl", metavar="FILE",
         help="append-only trajectory file (default: ./BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_simulator.json", metavar="FILE",
-        help="latest-snapshot view (default: ./BENCH_simulator.json)",
-    )
-    bench.add_argument(
-        "--max-history", type=int, default=None, metavar="N",
-        help="after appending, atomically rotate the history down to the"
-             " newest N records",
     )
     bench.add_argument("--list", action="store_true",
                        help="print the registered sections and exit")

@@ -2,8 +2,8 @@
 
 The real sections are exercised by the benchmark suite itself; here a
 fake registry (installed via ``monkeypatch.dict``) keeps the CLI tests
-instant while covering the full surface: record append, snapshot
-composition and merge, gate verdicts, ``--check`` exit codes, rotation.
+instant while covering the full surface: record append, gate verdicts,
+``--check`` exit codes, argument validation.
 """
 
 from __future__ import annotations
@@ -23,25 +23,23 @@ from repro.cli import main
 def fake_registry(monkeypatch):
     """Replace the registry with two tiny deterministic sections."""
     top = BenchmarkSection(
-        name="engine", title="fake engine", snapshot_key=None,
+        name="engine", title="fake engine",
         run=lambda rounds: {
             "benchmark": "fake", "rounds": rounds,
             "simulated_makespan_seconds": 258.76, "wall_seconds_best": 0.1,
         },
         gates=(
-            MetricGate("simulated_makespan_seconds", "exact",
-                       fingerprint_scoped=False),
+            MetricGate("simulated_makespan_seconds", "exact"),
             MetricGate("wall_seconds_best", "lower"),
         ),
     )
     nested = BenchmarkSection(
-        name="cache", title="fake cache", snapshot_key="core_sweep",
+        name="cache", title="fake cache",
         run=lambda rounds: {"cache_speedup": 30.0},
         guards=lambda metrics: (
             [] if metrics["cache_speedup"] >= 2.0 else ["too slow"]
         ),
         gates=(MetricGate("cache_speedup", "higher"),),
-        slow=True,
     )
     monkeypatch.setattr(
         registry, "_REGISTRY", {"engine": top, "cache": nested}
@@ -53,14 +51,19 @@ def bench(tmp_path, *extra):
     return main([
         "bench",
         "--history", str(tmp_path / "h.jsonl"),
-        "--output", str(tmp_path / "snap.json"),
         *extra,
     ])
 
 
-def test_run_appends_exactly_one_record(fake_registry, tmp_path, capsys):
+def test_run_appends_exactly_one_record(fake_registry, tmp_path,
+                                        monkeypatch):
+    # Run from inside tmp_path so a stray write to the working
+    # directory would show up next to the history file.
+    monkeypatch.chdir(tmp_path)
     assert bench(tmp_path) == 0
     assert bench(tmp_path) == 0
+    # The history file is the only thing a run writes.
+    assert list(tmp_path.iterdir()) == [tmp_path / "h.jsonl"]
     lines = (tmp_path / "h.jsonl").read_text().splitlines()
     assert len(lines) == 2
     record = json.loads(lines[0])
@@ -69,32 +72,9 @@ def test_run_appends_exactly_one_record(fake_registry, tmp_path, capsys):
     assert record["format_version"] == 1
 
 
-def test_snapshot_has_legacy_shape(fake_registry, tmp_path):
-    bench(tmp_path)
-    snapshot = json.loads((tmp_path / "snap.json").read_text())
-    assert snapshot["benchmark"] == "fake"
-    assert snapshot["simulated_makespan_seconds"] == 258.76
-    assert snapshot["core_sweep"] == {"cache_speedup": 30.0}
-
-
-def test_partial_run_merges_into_existing_snapshot(fake_registry, tmp_path):
-    bench(tmp_path)
-    assert bench(tmp_path, "--sections", "engine") == 0
-    snapshot = json.loads((tmp_path / "snap.json").read_text())
-    # The cache section was not rerun but survives from the first run.
-    assert snapshot["core_sweep"] == {"cache_speedup": 30.0}
-
-
-def test_skip_slow_drops_flagged_sections(fake_registry, tmp_path):
-    assert bench(tmp_path, "--skip-slow") == 0
-    record = json.loads((tmp_path / "h.jsonl").read_text())
-    assert set(record["sections"]) == {"engine"}
-
-
 def test_check_writes_nothing(fake_registry, tmp_path, capsys):
     assert bench(tmp_path, "--check") == 0
     assert not (tmp_path / "h.jsonl").exists()
-    assert not (tmp_path / "snap.json").exists()
     assert "bench check OK" in capsys.readouterr().out
 
 
@@ -144,10 +124,21 @@ def test_unknown_section_is_config_error(fake_registry, tmp_path):
     assert bench(tmp_path, "--sections", "warp-drive") == 2
 
 
-def test_max_history_rotates(fake_registry, tmp_path):
-    for _ in range(4):
-        bench(tmp_path, "--max-history", "2")
-    assert len((tmp_path / "h.jsonl").read_text().splitlines()) == 2
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_rounds_below_one_is_config_error(fake_registry, tmp_path, capsys,
+                                          rounds):
+    assert bench(tmp_path, "--rounds", rounds) == 2
+    assert "rounds must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "h.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", [
+    ["--output", "snap.json"], ["--skip-slow"], ["--max-history", "2"],
+])
+def test_removed_flags_are_usage_errors(fake_registry, tmp_path, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        bench(tmp_path, *flag)
+    assert excinfo.value.code == 2
 
 
 def test_json_output_carries_verdicts(fake_registry, tmp_path, capsys):
@@ -161,7 +152,8 @@ def test_json_output_carries_verdicts(fake_registry, tmp_path, capsys):
 def test_list_prints_registry(fake_registry, capsys):
     assert main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "fake engine" in out and "slow" in out
+    assert "fake engine" in out
+    assert "simulated_makespan_seconds=exact" in out
 
 
 def test_report_renders_history_trajectories(fake_registry, tmp_path, capsys):
@@ -184,8 +176,7 @@ def test_report_on_empty_history(fake_registry, tmp_path, capsys):
 
 
 def test_report_runs_no_sections(fake_registry, tmp_path, capsys):
-    # --report is a pure read: it must not append a record or write a
-    # snapshot even though the normal path would.
+    # --report is a pure read: it must not append a record even though
+    # the normal path would.
     assert bench(tmp_path, "--report") == 0
     assert not (tmp_path / "h.jsonl").exists()
-    assert not (tmp_path / "snap.json").exists()

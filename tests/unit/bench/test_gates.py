@@ -112,17 +112,9 @@ class TestFingerprintScoping:
                         fingerprint="cpu1-py3.11-numpy-numpy")
         assert verdict.status == "fail"
 
-    def test_unscoped_gate_sees_everything(self):
-        gate = MetricGate("wall", "lower", fingerprint_scoped=False)
-        history = [record(0.1, fingerprint="cpu32-py3.11-numpy-numpy")
-                   for _ in range(5)]
-        verdict = judge(gate, 4.0, history,
-                        fingerprint="cpu1-py3.11-numpy-numpy")
-        assert verdict.status == "fail"
-
 
 class TestExactGate:
-    GATE = MetricGate("wall", "exact", fingerprint_scoped=False)
+    GATE = MetricGate("wall", "exact")
 
     def test_no_history_passes(self):
         assert judge(self.GATE, 258.76, []).status == "pass"
@@ -148,6 +140,17 @@ class TestExactGate:
         assert judge(self.GATE, [1.0, 2.0, 3.0], history).status == "pass"
         assert judge(self.GATE, [1.0, 2.0, 3.1], history).status == "fail"
         assert judge(self.GATE, [1.0, 2.0], history).status == "fail"
+
+    def test_other_hosts_records_still_gate(self):
+        # Simulated output is host-independent, so an exact gate judges a
+        # fresh run against another fingerprint's record.
+        history = [record(258.76, fingerprint="cpu32-py3.11-numpy-numpy")]
+        fresh_host = "cpu2-py3.11-numpy-numpy"
+        assert judge(self.GATE, 258.76, history,
+                     fingerprint=fresh_host).status == "pass"
+        verdict = judge(self.GATE, 258.77, history, fingerprint=fresh_host)
+        assert verdict.status == "fail"
+        assert verdict.reference == 258.76
 
     def test_strings_compare_exactly(self):
         history = [record("n1-standard-16")]

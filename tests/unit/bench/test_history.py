@@ -1,4 +1,4 @@
-"""The append-only history store: append, load, rotate, corruption."""
+"""The append-only history store: append, load, corruption."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.bench.history import (
     fingerprint_key,
     host_fingerprint,
     make_record,
-    write_snapshot,
 )
 
 
@@ -64,22 +63,6 @@ def test_blank_lines_ignored(tmp_path):
     assert len(BenchHistory(path).load()) == 2
 
 
-def test_rotate_keeps_newest(tmp_path):
-    history = BenchHistory(tmp_path / "h.jsonl")
-    for index in range(7):
-        history.append({"run": index})
-    dropped = history.rotate(3)
-    assert dropped == 4
-    assert [r["run"] for r in history.load()] == [4, 5, 6]
-    # No-op when already within budget.
-    assert history.rotate(3) == 0
-
-
-def test_rotate_rejects_nonpositive(tmp_path):
-    with pytest.raises(ValueError):
-        BenchHistory(tmp_path / "h.jsonl").rotate(0)
-
-
 def test_fingerprint_key_shape():
     key = fingerprint_key({
         "cpus": 4, "python": "3.11.7", "numpy": "1.26.0",
@@ -118,12 +101,3 @@ def test_make_record_carries_fingerprint_and_sections():
     assert record["fingerprint_key"] == fingerprint_key(record["fingerprint"])
     assert record["format_version"] == 1
     assert record["timestamp"].endswith("+00:00")
-
-
-def test_write_snapshot_atomic_and_clean(tmp_path):
-    target = tmp_path / "snap.json"
-    write_snapshot(target, {"a": 1})
-    write_snapshot(target, {"b": 2})
-    assert json.loads(target.read_text()) == {"b": 2}
-    # No temp file left behind.
-    assert list(tmp_path.iterdir()) == [target]
