@@ -31,12 +31,6 @@ Commands
     "volume_scale": S}, ...]}`` (see docs/MULTITENANT.md and
     ``examples/mixes/``).  ``--fault-plan`` composes with a mix;
     resilience flags do not.
-
-Exit codes: 0 on success, 2 for configuration errors, 3 for simulation
-or model errors (including resilience-budget exhaustion), 4 for
-malformed fault plans, 5 for host execution failures (worker loss,
-per-task timeout, quarantined tasks — see docs/EXECUTION.md); 1 stays
-reserved for unexpected crashes.
 ``pipeline --workload NAME [...] [--json] [--cache FILE] [--workers K]
 [--task-timeout S] [--task-retries K]``
     Run the full loop — simulate, profile, predict — and print exp vs
@@ -47,15 +41,13 @@ reserved for unexpected crashes.
     execution policy of a parallel run (per-cell wall-clock deadline
     and attempt budget; exhausted cells exit 5 with the completed ones
     checkpointed).
-``optimize --workload NAME [--cluster-workers N] [--workers K] [--top K]
-[--json]``
+``optimize --workload NAME [--cluster-workers N] [--top K] [--json]``
     Search cloud configurations for the cheapest run (Section VI).
     ``--cluster-workers`` is the modeled cluster's node count ``N``.
-    The whole grid is scored by the array kernel (:mod:`repro.model.arrays`);
-    ``--workers`` is validated but no longer changes how candidates are
-    evaluated.  ``--top K`` prints the K cheapest feasible
-    configurations instead of just the winner, and ``--json`` emits the
-    search outcome as a machine-readable record.
+    The whole grid is scored in-process by the array kernel
+    (:mod:`repro.model.arrays`).  ``--top K`` prints the K cheapest
+    feasible configurations instead of just the winner, and ``--json``
+    emits the search outcome as a machine-readable record.
 ``bench [--sections a,b] [--rounds N] [--check] [--json]
 [--history FILE] [--list] [--report]``
     Run the registered benchmark sections (:mod:`repro.bench`).  A
@@ -63,11 +55,11 @@ reserved for unexpected crashes.
     trajectory, the only place bench results are kept; ``--check``
     runs gate-only (nothing written, nonzero exit iff a section
     regresses beyond the noise band vs the rolling history or breaks
-    an absolute floor).  ``--rounds`` must be at least 1.  ``--list``
-    prints the registry with each section's gate specs (which metrics
-    are band-gated vs history and which must stay exact).  ``--report``
-    renders per-metric sparkline trajectories from the history file,
-    partitioned by host fingerprint and labeled with git SHAs.
+    an absolute floor).  ``--list`` prints the registry with each
+    section's gate specs (which metrics are band-gated vs history and
+    which must stay exact).  ``--report`` renders per-metric sparkline
+    trajectories from the history file, partitioned by host fingerprint
+    and labeled with git SHAs.
 ``serve [--host H] [--port P] [--workloads a,b] [--cache FILE] [--warm]
 [--queue-cap N] [--lru-size N] [--batch-max N] [--batch-delay-ms MS]``
     Run the optimizer-as-a-service query engine behind a stdlib
@@ -80,9 +72,17 @@ reserved for unexpected crashes.
     in-process engine when ``--url`` is omitted) and report throughput,
     latency percentiles, and the engine's coalescing counters.
 
+Exit codes: 0 on success, 2 for configuration errors (including
+argparse usage errors such as a count flag below 1), 3 for simulation
+or model errors (including resilience-budget exhaustion), 4 for
+malformed fault plans, 5 for host execution failures (worker loss,
+per-task timeout, quarantined tasks — see docs/EXECUTION.md); 1 stays
+reserved for unexpected crashes.
+
 Every command is a thin veneer over :mod:`repro.pipeline`: inputs become
 workload sources and platforms, results are uniform run records, and a
-``--cache`` file lets separate invocations share simulations.
+``--cache`` file lets separate invocations share simulations.  Flags
+that several commands take are declared once, in :data:`_SHARED_FLAGS`.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 from repro.analysis.report import render_table
@@ -100,7 +100,6 @@ from repro.cloud import (
     r1_spark_recommendation,
     r2_cloudera_recommendation,
 )
-from repro.cloud.pricing import config_dict
 from repro.cluster.network import NetworkModel
 from repro.core import load_report, save_report
 from repro.errors import ConfigurationError, DoppioError, exit_code_for
@@ -161,9 +160,26 @@ def _workload(name: str) -> WorkloadSpec:
         ) from None
 
 
+def _split_names(chunks: Iterable[str]) -> list[str]:
+    """Names from a repeatable comma-separated flag (``--x a,b --x c``)."""
+    return [
+        name.strip()
+        for chunk in chunks
+        for name in chunk.split(",")
+        if name.strip()
+    ]
+
+
+def _source(args: argparse.Namespace, workload: WorkloadSpec):
+    """A saved report (``--report``) or the spec profiled on demand."""
+    if args.report:
+        return ReportSource(load_report(args.report))
+    return SpecSource(workload, profile_nodes=args.profile_nodes)
+
+
 def _cache(args: argparse.Namespace) -> ResultCache:
     """A result cache, file-backed when ``--cache`` was given."""
-    return ResultCache(getattr(args, "cache", None))
+    return ResultCache(args.cache)
 
 
 def _save_cache(cache: ResultCache) -> None:
@@ -176,19 +192,15 @@ def _cluster_platform(args: argparse.Namespace) -> ClusterPlatform:
 
 
 def _network(args: argparse.Namespace) -> NetworkModel | None:
-    if getattr(args, "network_gbps", None) is None:
+    if args.network_gbps is None:
         return None
     return NetworkModel.from_gbps(args.network_gbps)
 
 
-def _resource_label(name: str) -> str:
-    """Strip the node prefix: slave3-hdfs-ssd -> hdfs-ssd, w0:nic -> nic."""
-    return re.sub(r"^(slave-?|w)\d+[-:]", "", name)
-
-
 def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
-    path = getattr(args, "fault_plan", None)
-    return load_fault_plan(path) if path is not None else None
+    if args.fault_plan is None:
+        return None
+    return load_fault_plan(args.fault_plan)
 
 
 def _resilience(args: argparse.Namespace) -> ResiliencePolicy | None:
@@ -197,19 +209,76 @@ def _resilience(args: argparse.Namespace) -> ResiliencePolicy | None:
     ``None`` — no flag given — keeps the historical unmitigated engine,
     which is bit-identical to the pre-resilience simulator.
     """
-    speculation = getattr(args, "speculation", False)
-    attempts = getattr(args, "max_task_attempts", None)
-    blacklist = getattr(args, "blacklist", False)
-    if not speculation and attempts is None and not blacklist:
+    attempts = args.max_task_attempts
+    if not args.speculation and attempts is None and not args.blacklist:
         return None
     retry = RetryPolicy() if attempts is None else RetryPolicy(
         max_task_attempts=attempts
     )
     return ResiliencePolicy(
-        speculation=SpeculationPolicy() if speculation else None,
+        speculation=SpeculationPolicy() if args.speculation else None,
         retry=retry,
-        blacklist=BlacklistPolicy() if blacklist else None,
+        blacklist=BlacklistPolicy() if args.blacklist else None,
     )
+
+
+def _execution(args: argparse.Namespace) -> ExecutionPolicy | None:
+    """Build the supervised-execution policy from the CLI flags.
+
+    ``None`` (no flags given) keeps the library default policy;
+    invalid values surface as :class:`ConfigurationError` → exit 2.
+    """
+    if args.task_timeout is None and args.task_retries is None:
+        return None
+    overrides: dict = {}
+    if args.task_timeout is not None:
+        overrides["timeout_seconds"] = args.task_timeout
+    if args.task_retries is not None:
+        overrides["max_attempts"] = args.task_retries
+    return ExecutionPolicy(**overrides)
+
+
+def _title_suffix(
+    args: argparse.Namespace,
+    plan: FaultPlan | None = None,
+    policy: ResiliencePolicy | None = None,
+) -> str:
+    """The ``, 10 Gb/s NIC, faults=…, resilience=…`` tail of a title."""
+    suffix = ""
+    if args.network_gbps is not None:
+        suffix += f", {args.network_gbps:g} Gb/s NIC"
+    if plan is not None:
+        suffix += f", faults={plan.describe()}"
+    if policy is not None:
+        suffix += f", resilience={policy.describe()}"
+    return suffix
+
+
+def _change(value: float, baseline: float) -> float:
+    """Relative change ``value / baseline - 1`` (0 for an empty baseline)."""
+    return value / baseline - 1.0 if baseline > 0 else 0.0
+
+
+def _resource_label(name: str) -> str:
+    """Strip the node prefix: slave3-hdfs-ssd -> hdfs-ssd, w0:nic -> nic."""
+    return re.sub(r"^(slave-?|w)\d+[-:]", "", name)
+
+
+def _direction(is_write: bool) -> str:
+    return "write" if is_write else "read"
+
+
+def _mean_utilization(device_utilizations) -> dict[tuple[str, bool], float]:
+    """Busy fraction per ``(resource label, is_write)``, mean across nodes."""
+    per_class: dict[tuple[str, bool], list[float]] = {}
+    for name, is_write, fraction in device_utilizations:
+        per_class.setdefault((_resource_label(name), is_write), []).append(
+            fraction
+        )
+    return {
+        key: sum(fractions) / len(fractions)
+        for key, fractions in per_class.items()
+    }
 
 
 def _stage_bottleneck(stage) -> str:
@@ -220,13 +289,10 @@ def _stage_bottleneck(stage) -> str:
     the Eq.-1 ``max(t_scale, t_read, t_write)`` argmax.
     """
     best_label, best = "cores", stage.core_utilization
-    per_class: dict[tuple[str, bool], list[float]] = {}
-    for name, is_write, fraction in stage.device_utilizations:
-        per_class.setdefault((_resource_label(name), is_write), []).append(fraction)
-    for (label, is_write), fractions in sorted(per_class.items()):
-        mean = sum(fractions) / len(fractions)
+    utilization = _mean_utilization(stage.device_utilizations)
+    for (label, is_write), mean in sorted(utilization.items()):
         if mean > best:
-            best_label = f"{label}:{'write' if is_write else 'read'}"
+            best_label = f"{label}:{_direction(is_write)}"
             best = mean
     return best_label
 
@@ -248,9 +314,8 @@ def cmd_fio(args: argparse.Namespace) -> int:
         [fmt_bytes(r.block_size), f"{r.bandwidth / MB:.1f}", f"{r.iops:.0f}"]
         for r in results
     ]
-    direction = "write" if args.write else "read"
     print(render_table(
-        f"fio sweep: {args.device} ({direction})",
+        f"fio sweep: {args.device} ({_direction(args.write)})",
         ["block size", "MB/s", "IOPS"], rows))
     return 0
 
@@ -279,11 +344,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     workload = _workload(args.workload)
-    if args.report:
-        source = ReportSource(load_report(args.report))
-    else:
-        source = SpecSource(workload, profile_nodes=args.profile_nodes)
-    experiment = Experiment(source, _cluster_platform(args))
+    experiment = Experiment(_source(args, workload), _cluster_platform(args))
     prediction = experiment.predict(args.slaves, args.cores)
     rows = [
         [stage.stage_name, fmt_duration(stage.t_stage), stage.bottleneck]
@@ -386,11 +447,7 @@ def _simulate_mix(args: argparse.Namespace) -> int:
         solo = solo_seconds[timeline.name]
         return timeline.measurement.total_seconds / solo if solo > 0 else 1.0
 
-    per_class: dict[tuple[str, bool], list[float]] = {}
-    for name, is_write, fraction in mix.device_utilizations:
-        per_class.setdefault((_resource_label(name), is_write), []).append(
-            fraction
-        )
+    utilization = sorted(_mean_utilization(mix.device_utilizations).items())
 
     if args.json:
         payload = {
@@ -428,10 +485,10 @@ def _simulate_mix(args: argparse.Namespace) -> int:
             "device_utilizations": [
                 {
                     "resource": label,
-                    "direction": "write" if is_write else "read",
-                    "busy_fraction": sum(fractions) / len(fractions),
+                    "direction": _direction(is_write),
+                    "busy_fraction": mean,
                 }
-                for (label, is_write), fractions in sorted(per_class.items())
+                for (label, is_write), mean in utilization
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -449,21 +506,18 @@ def _simulate_mix(args: argparse.Namespace) -> int:
         ]
         for timeline in mix.jobs
     ]
-    wire = f", {args.network_gbps:g} Gb/s NIC" if network is not None else ""
-    faulty = f", faults={plan.describe()}" if plan is not None else ""
     print(render_table(
         f"simulated mix of {len(mix.jobs)} jobs on {args.slaves} slaves x"
         f" {args.cores} cores ({mix.policy} scheduling, HDFS={args.hdfs},"
-        f" local={args.local}{wire}{faulty})",
+        f" local={args.local}{_title_suffix(args, plan)})",
         ["job", "arrival", "waiting", "runtime", "turnaround", "solo",
          "slowdown"],
         rows))
     print(f"mix makespan: {fmt_duration(mix.makespan)}")
-    if per_class:
+    if utilization:
         rows = [
-            [label, "write" if is_write else "read",
-             f"{sum(fractions) / len(fractions) * 100:.0f}%"]
-            for (label, is_write), fractions in sorted(per_class.items())
+            [label, _direction(is_write), f"{mean * 100:.0f}%"]
+            for (label, is_write), mean in utilization
         ]
         print(render_table(
             "device utilization (whole mix, mean across nodes)",
@@ -483,12 +537,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "a workload name (or --mix FILE) is required"
         )
     workload = _workload(args.workload)
-    network = _network(args)
     cache = _cache(args)
     plan = _fault_plan(args)
     policy = _resilience(args)
     experiment = Experiment(
-        workload, _cluster_platform(args), cache=cache, network=network,
+        workload, _cluster_platform(args), cache=cache, network=_network(args),
         faults=plan, resilience=policy,
     )
     app = experiment.measure(args.slaves, args.cores)
@@ -511,22 +564,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     def impact(stage_index: int) -> float:
-        faulted = app.stages[stage_index].makespan
-        baseline = clean.stages[stage_index].makespan
-        return faulted / baseline - 1.0 if baseline > 0 else 0.0
+        return _change(
+            app.stages[stage_index].makespan, clean.stages[stage_index].makespan
+        )
 
     # Busy-seconds-weighted utilization per resource direction, averaged
-    # across nodes (slaveN-hdfs-ssd -> hdfs-ssd; slave-N:nic -> nic) and
-    # aggregated over stages.
+    # across nodes and aggregated over stages.
     busy: dict[tuple[str, bool], list[float]] = {}
     for stage in app.stages:
-        per_class: dict[tuple[str, bool], list[float]] = {}
-        for name, is_write, fraction in stage.device_utilizations:
-            per_class.setdefault((_resource_label(name), is_write), []).append(
-                fraction
-            )
-        for key, fractions in per_class.items():
-            mean = sum(fractions) / len(fractions)
+        for key, mean in _mean_utilization(stage.device_utilizations).items():
             busy.setdefault(key, []).append(mean * stage.makespan)
 
     totals: dict[tuple[str, bool], list[float]] = {}
@@ -596,7 +642,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "device_utilizations": [
                 {
                     "resource": label,
-                    "direction": "write" if is_write else "read",
+                    "direction": _direction(is_write),
                     "busy_fraction": sum(seconds) / app.total_seconds,
                 }
                 for (label, is_write), seconds in sorted(busy.items())
@@ -604,7 +650,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "iostat": [
                 {
                     "device": label,
-                    "direction": "write" if is_write else "read",
+                    "direction": _direction(is_write),
                     "requests": requests,
                     "avg_request_bytes": total_bytes / requests,
                 }
@@ -634,38 +680,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     headers = ["stage", "tasks", "makespan", "core util", "bottleneck"]
     if clean is not None:
         headers += ["clean", "impact"]
-        total_impact = (
-            app.total_seconds / clean.total_seconds - 1.0
-            if clean.total_seconds > 0 else 0.0
-        )
+        total_impact = _change(app.total_seconds, clean.total_seconds)
         total_row += [fmt_duration(clean.total_seconds),
                       f"{total_impact * 100:+.0f}%"]
     if policy is not None:
         headers.append("resilience")
         total_row.append(summary.describe() if summary.mitigated else "")
     rows.append(total_row)
-    wire = f", {args.network_gbps:g} Gb/s NIC" if network is not None else ""
-    faulty = f", faults={plan.describe()}" if plan is not None else ""
-    mitigations = (
-        f", resilience={policy.describe()}" if policy is not None else ""
-    )
     print(render_table(
         f"simulated {workload.name} on {args.slaves} slaves x {args.cores}"
-        f" cores (HDFS={args.hdfs}, local={args.local}{wire}{faulty}"
-        f"{mitigations})",
+        f" cores (HDFS={args.hdfs}, local={args.local}"
+        f"{_title_suffix(args, plan, policy)})",
         headers, rows))
 
     if unmitigated is not None and clean is not None:
         # The recovery headline: how much of the fault-induced slowdown
         # did the mitigations claw back?
-        recovered = (
-            unmitigated.total_seconds / app.total_seconds - 1.0
-            if app.total_seconds > 0 else 0.0
-        )
-        overhead = (
-            app.total_seconds / clean.total_seconds - 1.0
-            if clean.total_seconds > 0 else 0.0
-        )
+        recovered = _change(unmitigated.total_seconds, app.total_seconds)
+        overhead = _change(app.total_seconds, clean.total_seconds)
         print(
             f"recovery: mitigated {fmt_duration(app.total_seconds)}"
             f" vs unmitigated {fmt_duration(unmitigated.total_seconds)}"
@@ -676,7 +708,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if busy:
         rows = [
-            [label, "write" if is_write else "read",
+            [label, _direction(is_write),
              f"{sum(seconds) / app.total_seconds * 100:.0f}%"]
             for (label, is_write), seconds in sorted(busy.items())
         ]
@@ -688,7 +720,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows = []
         for (label, is_write), (total_bytes, requests) in sorted(totals.items()):
             avg = total_bytes / requests
-            rows.append([label, "write" if is_write else "read",
+            rows.append([label, _direction(is_write),
                          f"{requests:.0f}", fmt_bytes(avg),
                          f"{avg / 512:.0f}"])
         print(render_table("iostat request-size summary (all nodes)",
@@ -700,14 +732,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     workload = _workload(args.workload)
     cache = _cache(args)
-    if args.report:
-        source = ReportSource(load_report(args.report))
-    else:
-        source = SpecSource(workload, profile_nodes=args.profile_nodes)
     policy = _resilience(args)
     experiment = Experiment(
-        source, _cluster_platform(args), cache=cache, network=_network(args),
-        faults=_fault_plan(args), resilience=policy,
+        _source(args, workload), _cluster_platform(args), cache=cache,
+        network=_network(args), faults=_fault_plan(args), resilience=policy,
     )
     results = experiment.run_repeated(
         args.slaves, args.cores, runs=args.runs, workers=args.workers,
@@ -745,24 +773,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"{abs(mean_total - first.predicted_seconds) / mean_total * 100:.1f}%",
         "",
     ])
-    wire = (
-        f", {args.network_gbps:g} Gb/s NIC"
-        if args.network_gbps is not None else ""
-    )
-    mitigations = (
-        f", resilience={policy.describe()}" if policy is not None else ""
-    )
     print(render_table(
-        f"{experiment.describe()} at N={args.slaves}, P={args.cores}{wire}"
-        f"{mitigations} ({args.runs} runs)",
+        f"{experiment.describe()} at N={args.slaves}, P={args.cores}"
+        f"{_title_suffix(args, policy=policy)} ({args.runs} runs)",
         ["stage", "tasks", "exp", "model", "error", "bottleneck"], rows))
     print(f"cache: {cache.stats_summary()}")
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    if args.top < 1:
-        raise ConfigurationError("--top must be at least 1")
     workload = _workload(args.workload)
     if not args.json:
         print(f"profiling {workload.name}...")
@@ -781,10 +800,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         min_hdfs_gb=hdfs_gb, min_local_gb=local_gb,
         cache=cache,
     )
-    result = optimizer.grid_search(
-        vcpu_grid=(4, 8, 16, 32), workers=args.workers,
-        execution=_execution(args),
-    )
+    result = optimizer.grid_search(vcpu_grid=(4, 8, 16, 32))
     r1 = optimizer.evaluate(r1_spark_recommendation(num_workers=nodes))
     r2 = optimizer.evaluate(r2_cloudera_recommendation(num_workers=nodes))
     _save_cache(cache)
@@ -798,42 +814,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "cluster_workers": nodes,
             "num_evaluated": result.num_evaluated,
             "top": [
-                {
-                    "rank": rank,
-                    "config": config_dict(entry.config),
-                    "runtime_seconds": entry.runtime_seconds,
-                    "cost_dollars": entry.cost_dollars,
-                }
+                {"rank": rank, **entry.to_dict()}
                 for rank, entry in enumerate(top, start=1)
             ],
-            "references": {
-                "r1_spark": {
-                    "config": config_dict(r1.config),
-                    "runtime_seconds": r1.runtime_seconds,
-                    "cost_dollars": r1.cost_dollars,
-                },
-                "r2_cloudera": {
-                    "config": config_dict(r2.config),
-                    "runtime_seconds": r2.runtime_seconds,
-                    "cost_dollars": r2.cost_dollars,
-                },
-            },
+            "references": {"r1_spark": r1.to_dict(), "r2_cloudera": r2.to_dict()},
             "savings_vs_r1": result.savings_versus(r1),
             "savings_vs_r2": result.savings_versus(r2),
         }
         print(json.dumps(payload, indent=2))
         return 0
 
-    rows = [
-        ["optimum" if rank == 1 else f"#{rank}", entry.config.label(),
-         fmt_duration(entry.runtime_seconds), f"${entry.cost_dollars:.2f}"]
+    ranked = [
+        ("optimum" if rank == 1 else f"#{rank}", entry)
         for rank, entry in enumerate(top, start=1)
     ]
-    rows += [
-        ["R1 (Spark)", r1.config.label(), fmt_duration(r1.runtime_seconds),
-         f"${r1.cost_dollars:.2f}"],
-        ["R2 (Cloudera)", r2.config.label(), fmt_duration(r2.runtime_seconds),
-         f"${r2.cost_dollars:.2f}"],
+    rows = [
+        [label, entry.config.label(), fmt_duration(entry.runtime_seconds),
+         f"${entry.cost_dollars:.2f}"]
+        for label, entry in ranked + [("R1 (Spark)", r1), ("R2 (Cloudera)", r2)]
     ]
     print(render_table(
         f"cheapest cloud configuration for {workload.name}"
@@ -876,14 +874,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ["name", "gates", "description"], rows))
         return 0
 
-    names = None
-    if args.sections:
-        names = [
-            name.strip()
-            for chunk in args.sections
-            for name in chunk.split(",")
-            if name.strip()
-        ]
+    names = _split_names(args.sections) if args.sections else None
     sections = bench.resolve_sections(names)
     if not sections:
         raise ConfigurationError("no benchmark sections selected")
@@ -898,53 +889,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if verdict.status != "pass":
                 print(verdict.describe())
 
-    if args.check:
-        if not report.ok:
-            raise BenchmarkRegressionError(
-                f"{len(report.failures)} benchmark gate(s) failed"
-                f" across {len(report.sections)} section(s)",
-                verdicts=report.failures,
-            )
+    if not args.check:
+        history.append(report.record)
         if not args.json:
-            print(
-                f"bench check OK: {len(report.sections)} section(s),"
-                f" {len(report.warnings)} warning(s),"
-                f" fingerprint {bench.fingerprint_key(report.fingerprint)}"
-            )
-        return 0
-
-    history.append(report.record)
-    if not args.json:
-        print(f"[appended record #{len(history)} to {history.path}]")
+            print(f"[appended record #{len(history)} to {history.path}]")
     if not report.ok:
         raise BenchmarkRegressionError(
             f"{len(report.failures)} benchmark gate(s) failed"
             f" across {len(report.sections)} section(s)",
             verdicts=report.failures,
         )
+    if args.check and not args.json:
+        print(
+            f"bench check OK: {len(report.sections)} section(s),"
+            f" {len(report.warnings)} warning(s),"
+            f" fingerprint {bench.fingerprint_key(report.fingerprint)}"
+        )
     return 0
-
-
-def _service_workloads(args: argparse.Namespace) -> dict:
-    """The ``{name: spec}`` map a service engine serves."""
-    if args.workloads:
-        names = [
-            name.strip()
-            for chunk in args.workloads
-            for name in chunk.split(",")
-            if name.strip()
-        ]
-    else:
-        names = sorted(WORKLOADS)
-    return {name: _workload(name) for name in names}
 
 
 def _service_engine(args: argparse.Namespace):
     """Build a :class:`~repro.service.engine.QueryEngine` from CLI flags."""
     from repro.service import QueryEngine
 
+    names = _split_names(args.workloads) if args.workloads else sorted(WORKLOADS)
     return QueryEngine(
-        _service_workloads(args),
+        {name: _workload(name) for name in names},
         cache=_cache(args),
         lru_size=args.lru_size,
         batch_max=args.batch_max,
@@ -1028,60 +998,97 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
-    """The process-parallelism flag shared by ``pipeline`` and ``optimize``."""
-    sub.add_argument(
-        "--workers", type=int, default=None, metavar="K",
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of every count flag: below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+#: Flags more than one command takes, declared once: flag -> the
+#: keyword arguments of ``add_argument``.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--workload": dict(required=True),
+    "--slaves": dict(type=_positive_int, default=10),
+    "--cores": dict(type=_positive_int, default=24),
+    "--hdfs": dict(choices=("hdd", "ssd"), default="ssd"),
+    "--local": dict(choices=("hdd", "ssd"), default="ssd"),
+    "--profile-nodes": dict(
+        type=_positive_int, default=3,
+        help="cluster size of the four profiling sample runs",
+    ),
+    "--report": dict(
+        default=None,
+        help="drive from a saved profiling report instead of profiling"
+             " the spec",
+    ),
+    "--network-gbps": dict(
+        type=float, default=None,
+        help="per-node NIC speed; omit for the paper's infinite-wire default",
+    ),
+    "--fault-plan": dict(
+        default=None, metavar="FILE",
+        help="JSON fault plan superimposed on every measurement (see"
+             " docs/TESTING.md); simulate then shows per-stage impact vs."
+             " the clean run",
+    ),
+    "--speculation": dict(
+        action="store_true",
+        help="speculatively re-launch straggler tasks on other nodes"
+             " (spark.speculation)",
+    ),
+    "--max-task-attempts": dict(
+        type=int, default=None, metavar="K",
+        help="retry failed tasks with backoff, up to K attempts per stage"
+             " re-attempt (spark.task.maxFailures)",
+    ),
+    "--blacklist": dict(
+        action="store_true",
+        help="exclude repeatedly failing or straggling executors from"
+             " scheduling (spark.blacklist)",
+    ),
+    "--workers": dict(
+        type=int, default=None, metavar="K",
         help="fan independent evaluations across K worker processes"
              " (0 = auto-size to the available CPUs; results are"
              " bit-identical to serial)",
-    )
-    sub.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+    ),
+    "--task-timeout": dict(
+        type=float, default=None, metavar="SECONDS",
         help="per-task wall-clock deadline for supervised parallel"
              " execution; a task past it is killed with its pool and"
              " retried (see docs/EXECUTION.md)",
-    )
-    sub.add_argument(
-        "--task-retries", type=int, default=None, metavar="K",
+    ),
+    "--task-retries": dict(
+        type=int, default=None, metavar="K",
         help="attempts per task before it is quarantined (default 3);"
              " exhausted tasks exit 5 with completed work checkpointed",
-    )
+    ),
+    "--cache": dict(
+        default=None,
+        help="pipeline result-cache file to reuse/update (the service's"
+             " persistent read tier)",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="emit the result as JSON instead of human-readable text",
+    ),
+}
+
+_CLUSTER = ("--slaves", "--cores", "--hdfs", "--local")
+_RESILIENCE = ("--speculation", "--max-task-attempts", "--blacklist")
+_PARALLEL = ("--workers", "--task-timeout", "--task-retries")
 
 
-def _execution(args: argparse.Namespace) -> ExecutionPolicy | None:
-    """Build the supervised-execution policy from the CLI flags.
-
-    ``None`` (no flags given) keeps the library default policy;
-    invalid values surface as :class:`ConfigurationError` → exit 2.
-    """
-    if args.task_timeout is None and args.task_retries is None:
-        return None
-    overrides: dict = {}
-    if args.task_timeout is not None:
-        overrides["timeout_seconds"] = args.task_timeout
-    if args.task_retries is not None:
-        overrides["max_attempts"] = args.task_retries
-    return ExecutionPolicy(**overrides)
-
-
-def _add_resilience_flags(sub: argparse.ArgumentParser) -> None:
-    """The mitigation flags shared by ``simulate`` and ``pipeline``."""
-    sub.add_argument(
-        "--speculation", action="store_true",
-        help="speculatively re-launch straggler tasks on other nodes"
-             " (spark.speculation)",
-    )
-    sub.add_argument(
-        "--max-task-attempts", type=int, default=None, metavar="K",
-        help="retry failed tasks with backoff, up to K attempts per stage"
-             " re-attempt (spark.task.maxFailures)",
-    )
-    sub.add_argument(
-        "--blacklist", action="store_true",
-        help="exclude repeatedly failing or straggling executors from"
-             " scheduling (spark.blacklist)",
-    )
+def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1100,24 +1107,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sweep the write curve instead of read")
 
     profile = sub.add_parser("profile", help="four-sample-run profiling")
-    profile.add_argument("--workload", required=True)
-    profile.add_argument("--nodes", type=int, default=3)
+    _add_flags(profile, "--workload", "--cache")
+    profile.add_argument("--nodes", type=_positive_int, default=3)
     profile.add_argument("--fit-gc", action="store_true",
                          help="also fit the JVM GC coefficient")
     profile.add_argument("--output", default=None,
                          help="save the fitted report as JSON")
-    profile.add_argument("--cache", default=None,
-                         help="pipeline result-cache file to reuse/update")
 
     predict = sub.add_parser("predict", help="predict a configuration")
-    predict.add_argument("--workload", required=True)
-    predict.add_argument("--slaves", type=int, default=10)
-    predict.add_argument("--cores", type=int, default=24)
-    predict.add_argument("--hdfs", choices=("hdd", "ssd"), default="ssd")
-    predict.add_argument("--local", choices=("hdd", "ssd"), default="ssd")
-    predict.add_argument("--profile-nodes", type=int, default=3)
-    predict.add_argument("--report", default=None,
-                         help="reuse a saved profiling report (skips profiling)")
+    _add_flags(predict, "--workload", *_CLUSTER, "--profile-nodes", "--report")
 
     simulate = sub.add_parser(
         "simulate", help="run the discrete-event simulator on a workload"
@@ -1132,66 +1130,29 @@ def build_parser() -> argparse.ArgumentParser:
              " cluster and report per-job interference (see"
              " docs/MULTITENANT.md)",
     )
-    simulate.add_argument("--slaves", type=int, default=10)
-    simulate.add_argument("--cores", type=int, default=24)
-    simulate.add_argument("--hdfs", choices=("hdd", "ssd"), default="ssd")
-    simulate.add_argument("--local", choices=("hdd", "ssd"), default="ssd")
-    simulate.add_argument(
-        "--network-gbps", type=float, default=None,
-        help="per-node NIC speed; omit for the paper's infinite-wire default",
-    )
-    simulate.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="JSON fault plan to superimpose on the run (see docs/TESTING.md);"
-             " the report then shows per-stage impact vs. the clean run",
-    )
-    _add_resilience_flags(simulate)
-    simulate.add_argument("--json", action="store_true",
-                          help="emit the results as JSON instead of tables")
-    simulate.add_argument("--cache", default=None,
-                          help="pipeline result-cache file to reuse/update")
+    _add_flags(simulate, *_CLUSTER, "--network-gbps", "--fault-plan",
+               *_RESILIENCE, "--json", "--cache")
 
     pipeline = sub.add_parser(
         "pipeline",
         help="full loop: simulate, profile, and predict one workload",
     )
-    pipeline.add_argument("--workload", required=True)
-    pipeline.add_argument("--slaves", type=int, default=10)
-    pipeline.add_argument("--cores", type=int, default=24)
-    pipeline.add_argument("--hdfs", choices=("hdd", "ssd"), default="ssd")
-    pipeline.add_argument("--local", choices=("hdd", "ssd"), default="ssd")
-    pipeline.add_argument("--network-gbps", type=float, default=None)
-    pipeline.add_argument("--runs", type=int, default=1,
+    _add_flags(pipeline, "--workload", *_CLUSTER, "--network-gbps")
+    pipeline.add_argument("--runs", type=_positive_int, default=1,
                           help="task-skew realizations to simulate")
-    pipeline.add_argument("--profile-nodes", type=int, default=3)
-    pipeline.add_argument("--report", default=None,
-                          help="drive from a saved profiling report instead"
-                               " of profiling the spec")
-    pipeline.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="JSON fault plan superimposed on every measurement",
-    )
-    _add_resilience_flags(pipeline)
-    pipeline.add_argument("--json", action="store_true",
-                          help="emit RunResult records as JSON")
-    pipeline.add_argument("--cache", default=None,
-                          help="pipeline result-cache file to reuse/update")
-    _add_workers_flag(pipeline)
+    _add_flags(pipeline, "--profile-nodes", "--report", "--fault-plan",
+               *_RESILIENCE, "--json", "--cache", *_PARALLEL)
 
     optimize = sub.add_parser("optimize", help="cloud cost optimization")
-    optimize.add_argument("--workload", required=True)
-    optimize.add_argument("--cluster-workers", type=int, default=10,
+    _add_flags(optimize, "--workload")
+    optimize.add_argument("--cluster-workers", type=_positive_int, default=10,
                           metavar="N",
                           help="modeled cluster size N (the paper fixes 10"
                                " slaves)")
-    optimize.add_argument("--profile-nodes", type=int, default=3)
-    optimize.add_argument("--cache", default=None,
-                          help="pipeline result-cache file to reuse/update")
-    optimize.add_argument("--top", type=int, default=1, metavar="K",
+    _add_flags(optimize, "--profile-nodes", "--cache")
+    optimize.add_argument("--top", type=_positive_int, default=1, metavar="K",
                           help="print the K cheapest feasible configurations")
-    optimize.add_argument("--json", action="store_true",
-                          help="emit the search outcome as JSON")
-    _add_workers_flag(optimize)
+    _add_flags(optimize, "--json")
 
     bench = sub.add_parser(
         "bench",
@@ -1203,15 +1164,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated section names to run (repeatable);"
              " default: all registered sections",
     )
-    bench.add_argument("--rounds", type=int, default=3,
-                       help="timing rounds per section (best-of; at least 1)")
+    bench.add_argument("--rounds", type=_positive_int, default=3,
+                       help="timing rounds per section (best-of)")
     bench.add_argument(
         "--check", action="store_true",
         help="gate-only mode: judge against the rolling history without"
              " appending a record; exit nonzero iff a gate fails",
     )
-    bench.add_argument("--json", action="store_true",
-                       help="emit metrics and verdicts as JSON")
+    _add_flags(bench, "--json")
     bench.add_argument(
         "--history", default="BENCH_history.jsonl", metavar="FILE",
         help="append-only trajectory file (default: ./BENCH_history.jsonl)",
@@ -1230,10 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated workloads to serve (repeatable;"
                  " default: all built-ins)",
         )
-        sub.add_argument("--cache", default=None,
-                         help="pipeline result-cache file shared as the"
-                              " persistent read tier")
-        sub.add_argument("--profile-nodes", type=int, default=3)
+        _add_flags(sub, "--cache", "--profile-nodes")
         sub.add_argument(
             "--lru-size", type=int, default=1024, metavar="N",
             help="in-process result-LRU capacity (canonical query"
@@ -1253,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max outstanding simulation queries before new ones are"
                  " rejected with a structured 429",
         )
-        _add_workers_flag(sub)
+        _add_flags(sub, *_PARALLEL)
 
     serve = sub.add_parser(
         "serve",
@@ -1279,14 +1236,13 @@ def build_parser() -> argparse.ArgumentParser:
              " in-process engine",
     )
     loadgen.add_argument("--workload", default="svm")
-    loadgen.add_argument("--distinct", type=int, default=40,
+    loadgen.add_argument("--distinct", type=_positive_int, default=40,
                          help="unique predict configurations in the mix")
-    loadgen.add_argument("--duplicates", type=int, default=5,
+    loadgen.add_argument("--duplicates", type=_positive_int, default=5,
                          help="repetitions of each unique query")
-    loadgen.add_argument("--concurrency", type=int, default=25,
+    loadgen.add_argument("--concurrency", type=_positive_int, default=25,
                          help="max queries in flight at once")
-    loadgen.add_argument("--json", action="store_true",
-                         help="emit throughput/latency/engine stats as JSON")
+    _add_flags(loadgen, "--json")
     _add_service_flags(loadgen)
 
     return parser
@@ -1313,8 +1269,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     exit code (:func:`repro.errors.exit_code_for`): 2 for configuration
     mistakes, 4 for unusable fault plans, 5 for host execution failures
     (worker loss, task timeouts, quarantined tasks), 3 for everything
-    the simulator or model could not survive.  Exit 1 stays reserved
-    for genuine crashes, which keep their tracebacks.
+    the simulator or model could not survive.  Argparse usage errors
+    (unknown flags, out-of-range counts) exit 2 through ``SystemExit``.
+    Exit 1 stays reserved for genuine crashes, which keep their
+    tracebacks.
     """
     args = build_parser().parse_args(argv)
     try:

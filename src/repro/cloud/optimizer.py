@@ -22,11 +22,8 @@ score columns — bitwise identical to the per-candidate scalar path,
 hundreds of times faster.  The scalar :meth:`CostOptimizer.evaluate`
 remains for single configurations (reference points, descent starts,
 cache-threaded what-ifs) and as the oracle the kernel is tested against.
-
-``grid_search`` accepts ``workers=k`` for interface compatibility (it
-still validates like the rest of the pipeline); the batch kernel scores
-the whole grid in-process faster than candidates could be pickled to a
-pool, so every worker count returns bit-identical results trivially.
+The whole grid is one in-process kernel batch: scoring it is faster
+than pickling the candidates to a process pool would be.
 """
 
 from __future__ import annotations
@@ -36,11 +33,10 @@ from typing import TYPE_CHECKING
 
 from repro.cloud.disks import SPEC_BY_KIND, make_persistent_disk
 from repro.cloud.instance import machine_for_vcpus
-from repro.cloud.pricing import CloudConfiguration
+from repro.cloud.pricing import CloudConfiguration, config_dict
 from repro.core.predictor import Predictor
 from repro.errors import OptimizationError
 from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
-from repro.parallel import ExecutionPolicy, resolve_backend, validate_execution
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,6 +57,14 @@ class EvaluatedConfiguration:
     config: CloudConfiguration
     runtime_seconds: float
     cost_dollars: float
+
+    def to_dict(self) -> dict:
+        """The JSON record the CLI and the service emit for a candidate."""
+        return {
+            "config": config_dict(self.config),
+            "runtime_seconds": self.runtime_seconds,
+            "cost_dollars": self.cost_dollars,
+        }
 
     def __repr__(self) -> str:
         return (
@@ -252,23 +256,11 @@ class CostOptimizer:
         disk_kinds: tuple[str, ...] = ("pd-standard", "pd-ssd"),
         hdfs_sizes_gb: tuple[float, ...] = DEFAULT_SIZE_GRID_GB,
         local_sizes_gb: tuple[float, ...] = DEFAULT_SIZE_GRID_GB,
-        workers: int | None = None,
-        execution: ExecutionPolicy | None = None,
     ) -> OptimizationResult:
         """Score every feasible grid point; ``best`` is always the optimum.
 
         The feasible grid is scored through the array kernel as one
-        batch, so every ``workers`` value returns the identical
-        ``best`` and ``evaluated`` tuple.  ``workers`` keeps its pipeline
-        semantics for validation (``None``/``1``/``0``/``k`` accepted,
-        anything else is a :class:`~repro.errors.ConfigurationError`)
-        but no process pool is spun up: one in-process kernel pass
-        outruns pickling candidates to workers by orders of magnitude.
-        ``execution`` is validated the same way (an
-        :class:`~repro.parallel.ExecutionPolicy` or ``None``) so the
-        CLI threads one set of supervision flags through both
-        ``pipeline`` and ``optimize``; with no pool there is nothing to
-        supervise, and searches cannot fail partially.
+        in-process batch, in canonical (nested-loop) order.
         """
         for kind in disk_kinds:
             if kind not in SPEC_BY_KIND:
@@ -278,11 +270,6 @@ class CostOptimizer:
         )
         if not candidates:
             raise OptimizationError("no feasible configuration on the grid")
-        # Validate the workers and execution requests exactly like the
-        # process-pool era did, then release the backend unused (see
-        # the docstring).
-        resolve_backend(workers).shutdown()
-        validate_execution(execution)
         evaluated = self.score_candidates(candidates)
         best = min(evaluated, key=lambda e: e.cost_dollars)
         return OptimizationResult(best=best, evaluated=tuple(evaluated))
@@ -402,6 +389,8 @@ class CostOptimizer:
         (already replication-inclusive in the specs); Spark-local must hold
         the largest simultaneous shuffle plus persisted data.
         """
+        if num_workers <= 0:
+            raise OptimizationError("worker count must be positive")
         hdfs_bytes = 0.0
         local_bytes = 0.0
         max_read = 0.0

@@ -217,12 +217,14 @@ class Profiler:
         On a real deployment the spec's request sizes would *come from*
         iostat; here both exist, so the profiler checks they agree within
         20 % (byte-weighted, per stage/kind) and refuses to fit otherwise.
+        The expected size is the one the tasks issue, which a channel
+        caps at its per-chunk volume (a volume-scaled spec can move less
+        than one request per chunk).
         """
         role_of_device = _device_roles(cluster)
         for spec in self.workload.stages:
             measured = measurement.stage(spec.name)
-            summary = spec.channel_summary()
-            for kind, (_, spec_rs) in summary.items():
+            for kind, spec_rs in _issued_request_sizes(spec).items():
                 role = _channel_kinds()[kind]
                 is_write = kind.endswith("_write")
                 observed = _observed_request_size(measured, role_of_device, role, is_write)
@@ -367,6 +369,31 @@ class Profiler:
         if dominant_is_write:
             return (0.0, delta)
         return (delta, 0.0)
+
+
+def _issued_request_sizes(spec: StageSpec) -> dict[str, float]:
+    """Per channel kind, the byte-weighted request size the tasks issue.
+
+    :meth:`StageSpec.channel_summary` with each channel's request size
+    capped at its bytes per stream chunk, as the simulator phases are
+    built; uncapped stages give exactly the summary's sizes.
+    """
+    totals: dict[str, float] = {}
+    weighted_rs: dict[str, float] = {}
+    for group in spec.groups:
+        for channel in group.channels:
+            stage_bytes = channel.bytes_per_task * group.count * spec.repeat
+            if stage_bytes == 0:
+                continue
+            issued = min(
+                channel.request_size,
+                max(channel.bytes_per_task / group.stream_chunks, 1.0),
+            )
+            totals[channel.kind] = totals.get(channel.kind, 0.0) + stage_bytes
+            weighted_rs[channel.kind] = (
+                weighted_rs.get(channel.kind, 0.0) + issued * stage_bytes
+            )
+    return {kind: weighted_rs[kind] / totals[kind] for kind in totals}
 
 
 def _device_roles(cluster: Cluster) -> dict[str, str]:

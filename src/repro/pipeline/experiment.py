@@ -501,11 +501,11 @@ class Experiment:
     ) -> MixMeasurement:
         """A one-job mix via the solo path, bit-identical to ``measure``.
 
-        The cache key is the plain single-job ``run_key`` of the (scaled)
+        The measurement comes from a child experiment over the (scaled)
         spec, so a K = 1 mix and the equivalent solo experiment share one
-        cached measurement.  The job's stage device utilizations are
-        re-expressed over the mix makespan (``arrival`` + runtime) for
-        the cluster-level view.
+        cached measurement, checkpointed when fresh.  The job's stage
+        device utilizations are re-expressed over the mix makespan
+        (``arrival`` + runtime) for the cluster-level view.
         """
         from repro.schedule.mix import MIX_POLICIES
         from repro.schedule.scheduler import SchedulingError
@@ -515,29 +515,20 @@ class Experiment:
                 f"unknown mix policy {policy!r}; expected one of {MIX_POLICIES}"
             )
         name, job = named
-        spec = scale_workload_volume(job.spec, job.volume_scale)
-        key = run_key(
-            fingerprint(spec),
-            self._platform_fp,
-            nodes,
-            cores,
-            run_index=run_index,
-            network_fp=self._network_fp(),
-            fault_fp=self._fault_fp(plan),
+        child = Experiment(
+            scale_workload_volume(job.spec, job.volume_scale),
+            self.platform,
+            cache=self.cache,
+            network=self.network,
+            faults=plan,
         )
-        measurement = self.cache.get_measurement(key)
-        if measurement is None:
-            measurement = measure_workload(
-                self.platform.cluster(nodes),
-                cores,
-                spec,
-                run_index=run_index,
-                network=self.network,
-                faults=plan,
-            )
-            self.cache.put_measurement(key, measurement)
-            if self.cache.path is not None:
-                self.cache.save()
+        misses_before = self.cache.measurement_stats.misses
+        measurement = child.measure(nodes, cores, run_index=run_index)
+        if (
+            self.cache.path is not None
+            and self.cache.measurement_stats.misses > misses_before
+        ):
+            self.cache.save()
         if measurement.name != name:
             measurement = ApplicationMeasurement(
                 name=name, stages=measurement.stages

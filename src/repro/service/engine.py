@@ -46,8 +46,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.cloud.instance import machine_for_vcpus
-from repro.cloud.optimizer import CostOptimizer
-from repro.cloud.pricing import CloudConfiguration, config_dict
+from repro.cloud.optimizer import CostOptimizer, EvaluatedConfiguration
+from repro.cloud.pricing import CloudConfiguration
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -348,8 +348,11 @@ class QueryEngine:
             prediction = self.cache.get_prediction(key)
         if prediction is not None:
             self.counters["tier2_hits"] += 1
-            runtime = prediction.t_app
-            cost = config.cost_for_runtime(runtime)
+            evaluated = EvaluatedConfiguration(
+                config=config,
+                runtime_seconds=prediction.t_app,
+                cost_dollars=config.cost_for_runtime(prediction.t_app),
+            )
         else:
             entry = _PredictEntry(
                 state=state,
@@ -358,15 +361,11 @@ class QueryEngine:
             )
             self._batcher.add(entry)
             evaluated = await entry.future
-            runtime = evaluated.runtime_seconds
-            cost = evaluated.cost_dollars
         return {
             "kind": "predict",
             "workload": query.workload,
             "fingerprint": fp,
-            "config": config_dict(config),
-            "runtime_seconds": runtime,
-            "cost_dollars": cost,
+            **evaluated.to_dict(),
         }
 
     def _flush_predicts(self, entries) -> None:
@@ -467,11 +466,7 @@ class QueryEngine:
             "vcpu_grid": list(query.vcpu_grid),
             "num_workers": query.num_workers,
             "num_evaluated": result.num_evaluated,
-            "best": {
-                "config": config_dict(result.best.config),
-                "runtime_seconds": result.best.runtime_seconds,
-                "cost_dollars": result.best.cost_dollars,
-            },
+            "best": result.best.to_dict(),
         }
 
     # -- workload state ------------------------------------------------------
@@ -502,8 +497,9 @@ class QueryEngine:
 
         scorer = CostOptimizer(Predictor(resolved.report))
         # Prime the batch evaluator off the hot path: the kernel's first
-        # call pays one-time backend dispatch setup that would otherwise
-        # land on the first real micro-batch.
+        # call pays the deferred numpy import (see
+        # :meth:`Eq1BatchEvaluator.score`) that would otherwise land on
+        # the first real micro-batch.
         scorer.score_candidates(
             [scorer.make_config(4, "pd-standard", 64.0, "pd-standard", 64.0)]
         )

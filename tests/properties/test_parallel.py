@@ -5,7 +5,7 @@ to the serial sweep, for any worker count.  The parallel path only
 *warms the cache* (workers ship content-addressed shards home); every
 record is then composed in-process by the same serial code, so equality
 is structural, and these tests pin it across randomized workloads,
-shapes, and price grids — not just the paper's fixtures.
+shapes, and execution policies — not just the paper's fixtures.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import json
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.optimizer import CostOptimizer
-from repro.core import Predictor, Profiler
+from repro.core import Profiler
 from repro.errors import ProfilingError
 from repro.parallel import ExecutionPolicy
 from repro.pipeline.cache import ResultCache
@@ -118,26 +117,6 @@ def test_parallel_run_repeated_matches_serial(spec, execution):
     assert _records(
         parallel.run_repeated(2, 4, runs=2, workers=2, execution=execution)
     ) == _records(serial.run_repeated(2, 4, runs=2))
-
-
-@settings(max_examples=3, **EQUIV_SETTINGS)
-@given(spec=workload_specs())
-def test_parallel_search_evaluates_identically(spec):
-    """workers=2 reproduces the serial search's full evaluated tuple."""
-    optimizer = CostOptimizer(
-        Predictor(_profile(spec)),
-        num_workers=5,
-        min_hdfs_gb=10.0,
-        min_local_gb=10.0,
-    )
-    search = dict(
-        vcpu_grid=(8, 16), hdfs_sizes_gb=(250.0, 500.0), local_sizes_gb=(250.0,)
-    )
-    serial = optimizer.grid_search(**search)
-    parallel = optimizer.grid_search(workers=2, **search)
-    assert [
-        (e.config, e.runtime_seconds, e.cost_dollars) for e in parallel.evaluated
-    ] == [(e.config, e.runtime_seconds, e.cost_dollars) for e in serial.evaluated]
 
 
 def test_parallel_grid_shares_one_cache_file(tmp_path):

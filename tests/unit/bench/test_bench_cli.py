@@ -127,8 +127,11 @@ def test_unknown_section_is_config_error(fake_registry, tmp_path):
 @pytest.mark.parametrize("rounds", ["0", "-2"])
 def test_rounds_below_one_is_config_error(fake_registry, tmp_path, capsys,
                                           rounds):
-    assert bench(tmp_path, "--rounds", rounds) == 2
-    assert "rounds must be at least 1" in capsys.readouterr().err
+    # A usage error: argparse rejects the count before any section runs.
+    with pytest.raises(SystemExit) as excinfo:
+        bench(tmp_path, "--rounds", rounds)
+    assert excinfo.value.code == 2
+    assert "--rounds: must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "h.jsonl").exists()
 
 

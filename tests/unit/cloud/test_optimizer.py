@@ -24,6 +24,15 @@ class TestEvaluation:
         with pytest.raises(OptimizationError):
             optimizer.evaluate(too_small)
 
+    def test_to_dict_is_the_emitted_record(self, optimizer):
+        config = optimizer.make_config(16, "pd-standard", 1000, "pd-ssd", 200)
+        result = optimizer.evaluate(config)
+        record = result.to_dict()
+        assert list(record) == ["config", "runtime_seconds", "cost_dollars"]
+        assert record["config"]["label"] == config.label()
+        assert record["runtime_seconds"] == result.runtime_seconds
+        assert record["cost_dollars"] == result.cost_dollars
+
     def test_evaluate_fields(self, optimizer):
         config = optimizer.make_config(16, "pd-standard", 1000, "pd-ssd", 200)
         result = optimizer.evaluate(config)
@@ -82,28 +91,6 @@ class TestGridSearch:
             optimizer.grid_search(disk_kinds=("pd-extreme",))
 
 
-class TestParallelSearch:
-    def test_workers_do_not_change_the_result(self, optimizer):
-        kwargs = dict(
-            vcpu_grid=(8, 16), hdfs_sizes_gb=(500, 1000), local_sizes_gb=(200,)
-        )
-        serial = optimizer.grid_search(**kwargs)
-        parallel = optimizer.grid_search(workers=2, **kwargs)
-        assert parallel.best.config == serial.best.config
-        assert [e.config for e in parallel.evaluated] == [
-            e.config for e in serial.evaluated
-        ]
-        assert [e.cost_dollars for e in parallel.evaluated] == [
-            e.cost_dollars for e in serial.evaluated
-        ]
-
-    def test_invalid_workers_rejected(self, optimizer):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            optimizer.grid_search(vcpu_grid=(8,), workers=-2)
-
-
 class TestCoordinateDescent:
     def test_descends_to_local_optimum(self, optimizer):
         start = optimizer.make_config(32, "pd-standard", 4000, "pd-standard", 4000)
@@ -129,6 +116,15 @@ class TestCapacityRequirements:
         assert hdfs_gb == pytest.approx((121.6 + 332) * 1.2 / 10, rel=0.02)
         # Local: the 334 GB shuffle, x1.2 / 10.
         assert local_gb == pytest.approx(334 * 1.2 / 10, rel=0.02)
+
+    @pytest.mark.parametrize("num_workers", [0, -3])
+    def test_non_positive_worker_count_rejected(
+        self, gatk4_workload, num_workers
+    ):
+        with pytest.raises(OptimizationError, match="worker count"):
+            CostOptimizer.capacity_requirements(
+                gatk4_workload, num_workers=num_workers
+            )
 
 
 class TestAdjacent:

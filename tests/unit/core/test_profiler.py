@@ -150,3 +150,53 @@ class TestCustomWorkloadProfile:
         assert stage.channels == ()
         assert stage.delta_read == 0.0
         assert stage.delta_write == 0.0
+
+
+def _with_request_sizes(spec, factor):
+    """``spec`` with every channel's request size scaled by ``factor``."""
+    from dataclasses import replace
+
+    def channels(group_channels):
+        return tuple(
+            replace(ch, request_size=ch.request_size * factor)
+            for ch in group_channels
+        )
+
+    return replace(spec, stages=tuple(
+        replace(stage, groups=tuple(
+            replace(
+                group,
+                read_channels=channels(group.read_channels),
+                write_channels=channels(group.write_channels),
+            )
+            for group in stage.groups
+        ))
+        for stage in spec.stages
+    ))
+
+
+class TestRequestSizeCrossCheck:
+    """iostat request sizes vs. the sizes the spec's tasks issue."""
+
+    @pytest.fixture(scope="class")
+    def half_svm_run(self):
+        # Half the SVM volume moves 64 MB per HDFS-read chunk, below the
+        # spec's 128 MB request size, so the tasks issue 64 MB requests.
+        from repro.workloads import make_svm_workload
+        from repro.workloads.base import scale_workload_volume
+        from repro.workloads.runner import measure_workload
+
+        spec = scale_workload_volume(make_svm_workload(), 0.5)
+        profiler = Profiler(spec, nodes=2)
+        cluster = profiler.cluster_factory("ssd", "ssd")
+        return spec, cluster, measure_workload(cluster, 4, spec)
+
+    def test_capped_requests_agree_with_the_spec(self, half_svm_run):
+        spec, cluster, measurement = half_svm_run
+        Profiler(spec, nodes=2)._cross_check_request_sizes(cluster, measurement)
+
+    def test_mismatched_spec_is_rejected(self, half_svm_run):
+        spec, cluster, measurement = half_svm_run
+        mismatched = Profiler(_with_request_sizes(spec, 0.25), nodes=2)
+        with pytest.raises(ProfilingError, match="disagrees with the spec"):
+            mismatched._cross_check_request_sizes(cluster, measurement)

@@ -27,14 +27,6 @@ NAME = "lr-small"
 SPEC = WORKLOADS[NAME]()
 
 
-@pytest.fixture(scope="module")
-def profiled_shard():
-    """One profiling run, exported for seeding per-test caches."""
-    cache = ResultCache()
-    SpecSource(SPEC, profile_nodes=3).resolve(cache)
-    return cache.export_shard()
-
-
 def fresh_cache(profiled_shard) -> ResultCache:
     cache = ResultCache()
     cache.merge_shard(profiled_shard)

@@ -6,20 +6,13 @@ import json
 import pytest
 
 from repro.cli import WORKLOADS
-from repro.pipeline import ResultCache, SpecSource
+from repro.pipeline import ResultCache
 from repro.service import QueryEngine, QueryServer
 from repro.service.http import MAX_BODY_BYTES
 from repro.service.loadgen import _http_get, _http_post, _split_url
 
 NAME = "lr-small"
 SPEC = WORKLOADS[NAME]()
-
-
-@pytest.fixture(scope="module")
-def profiled_shard():
-    cache = ResultCache()
-    SpecSource(SPEC, profile_nodes=3).resolve(cache)
-    return cache.export_shard()
 
 
 def server_cache(profiled_shard) -> ResultCache:

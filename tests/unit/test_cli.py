@@ -53,8 +53,7 @@ class TestParser:
 
     def test_workers_flag_defaults_to_serial(self):
         for command in (
-            ["pipeline", "--workload", "svm"],
-            ["optimize", "--workload", "gatk4"],
+            ["pipeline", "--workload", "svm"], ["serve"], ["loadgen"],
         ):
             assert build_parser().parse_args(command).workers is None
 
@@ -62,11 +61,42 @@ class TestParser:
         args = build_parser().parse_args(["optimize", "--workload", "gatk4"])
         assert args.cluster_workers == 10
         args = build_parser().parse_args(
-            ["optimize", "--workload", "gatk4", "--cluster-workers", "6",
-             "--workers", "2"]
+            ["optimize", "--workload", "gatk4", "--cluster-workers", "6"]
         )
         assert args.cluster_workers == 6
-        assert args.workers == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--workers", "2"], ["--task-timeout", "5"], ["--task-retries", "2"],
+    ])
+    def test_optimize_parallel_flags_are_usage_errors(self, capsys, flag):
+        # The search is one in-process kernel batch: there is no pool to
+        # size or supervise.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "--workload", "svm", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "svm", "--slaves", "0"],
+        ["simulate", "svm", "--cores", "0"],
+        ["predict", "--workload", "svm", "--cores", "-1"],
+        ["pipeline", "--workload", "svm", "--slaves", "0"],
+        ["profile", "--workload", "svm", "--nodes", "0"],
+        ["predict", "--workload", "svm", "--profile-nodes", "0"],
+        ["optimize", "--workload", "svm", "--cluster-workers", "0"],
+        ["pipeline", "--workload", "svm", "--runs", "0"],
+        ["loadgen", "--distinct", "0"],
+        ["loadgen", "--duplicates", "0"],
+        ["loadgen", "--concurrency", "0"],
+        ["serve", "--profile-nodes", "x"],
+    ])
+    def test_count_flags_below_one_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be a positive integer" in err
+        assert "Traceback" not in err
 
     def test_optimize_prune_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -265,8 +295,10 @@ class TestPipelineCommand:
 
     def test_optimize_top_must_be_positive(self, capsys):
         argv = ["optimize", "--workload", "svm", "--top", "0"]
-        assert main(argv) == 2
-        assert "ConfigurationError" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--top: must be a positive integer" in capsys.readouterr().err
 
 
 class TestServiceCommands:
